@@ -7,22 +7,41 @@ bit-exact and independent of insertion order, locale, or float formatting:
 * no insignificant whitespace,
 * floats are emitted as the 16 lowercase hex digits of their IEEE-754
   binary64 big-endian bit pattern, wrapped in ``f"..."``,
-* byte strings are emitted as lowercase hex wrapped in ``b"..."``.
+* byte strings are emitted as lowercase hex wrapped in ``b"..."``,
+* in text, ``"``, ``\\``, newline, tab and carriage return are escaped as
+  ``\\"``, ``\\\\``, ``\\n``, ``\\t``, ``\\r``; other code points below U+0020 as
+  ``\\u00xx``; everything else is emitted as itself.  Lone surrogates have
+  no UTF-8 encoding and raise :class:`CanonicalizationError`.
 
 The parser accepts the strict form plus two input conveniences: whitespace
 between tokens, and ordinary decimal float literals (``0.05``, ``1e-3``),
 which makes the same notation usable for hand-written scenario config files.
 Serializing a parsed value reproduces a strictly canonical document, so
 canonical files round-trip byte-identically through load -> dump.
+
+The accepted grammar is otherwise lenient, and kept as it is until a strict
+mode exists: raw control characters inside strings, ``\\u`` escapes read by
+``int(..., 16)`` (so ``"\\u 0041"`` is ``\\x04`` then ``1``), uppercase hex and
+whitespace inside ``b"..."`` and ``f"..."``, ``-0``, leading zeros, digits
+that ``str.isdigit`` accepts, and duplicate map keys (the last one wins).
+
+Both directions do their per-character work in compiled regexes: a string
+with nothing to escape is emitted as one slice, and the parser takes runs of
+unescaped text, whitespace and numbers in one match each.  Only escapes and
+numbers with non-ASCII digits take a per-character path.  Every malformed
+input raises :class:`NotationParseError` naming its offset, including nesting
+deeper than :data:`MAX_DEPTH` containers, which no bxhf file comes near.
 """
 
 from __future__ import annotations
 
 import math
+import re
 import struct
 
 __all__ = [
     "CanonicalizationError",
+    "MAX_DEPTH",
     "NotationParseError",
     "canonicalize",
     "dumps",
@@ -31,64 +50,74 @@ __all__ = [
     "parse",
 ]
 
+# Deepest container nesting the parser accepts; ledger lines nest 4 deep.
+MAX_DEPTH = 256
+
 
 class CanonicalizationError(ValueError):
-    """Value cannot be canonically encoded (unsupported type or non-finite real)."""
+    """Value cannot be canonically encoded (unsupported type, non-finite real, lone surrogate)."""
 
 
 class NotationParseError(ValueError):
     """Input text is not valid canonical object notation."""
 
 
-_STRING_ESCAPES = {'"': '\\"', "\\": "\\\\", "\n": "\\n", "\t": "\\t", "\r": "\\r"}
+_ESCAPES = {chr(code): f"\\u{code:04x}" for code in range(0x20)}
+_ESCAPES.update({'"': '\\"', "\\": "\\\\", "\n": "\\n", "\t": "\\t", "\r": "\\r"})
+_NEEDS_ESCAPE = re.compile(r'[\x00-\x1f"\\\ud800-\udfff]')
+
+
+def _escape(match: re.Match) -> str:
+    ch = match.group()
+    esc = _ESCAPES.get(ch)
+    if esc is None:
+        raise CanonicalizationError(f"lone surrogate {ch!r} has no UTF-8 encoding")
+    return esc
 
 
 def _emit_string(text: str, out: list[str]) -> None:
-    out.append('"')
-    for ch in text:
-        esc = _STRING_ESCAPES.get(ch)
-        if esc is not None:
-            out.append(esc)
-        elif ord(ch) < 0x20:
-            out.append(f"\\u{ord(ch):04x}")
-        else:
-            out.append(ch)
-    out.append('"')
+    if _NEEDS_ESCAPE.search(text) is None:
+        out.append('"' + text + '"')
+    else:
+        out.append('"' + _NEEDS_ESCAPE.sub(_escape, text) + '"')
+
+
+_pack_double = struct.Struct(">d").pack
+_unpack_double = struct.Struct(">d").unpack
 
 
 def _emit(value, out: list[str]) -> None:
-    if isinstance(value, bool):
-        out.append("true" if value else "false")
-    elif isinstance(value, int):
-        out.append(str(value))
-    elif isinstance(value, float):
-        if not math.isfinite(value):
-            raise CanonicalizationError(f"non-finite real not canonicalizable: {value!r}")
-        out.append('f"' + struct.pack(">d", value).hex() + '"')
-    elif isinstance(value, str):
+    if isinstance(value, str):
         _emit_string(value, out)
-    elif isinstance(value, (bytes, bytearray)):
-        out.append('b"' + bytes(value).hex() + '"')
     elif isinstance(value, dict):
-        keys = list(value.keys())
-        for key in keys:
+        for key in value:
             if not isinstance(key, str):
                 raise CanonicalizationError(f"map keys must be text, got {type(key).__name__}")
-        out.append("{")
-        for i, key in enumerate(sorted(keys)):
-            if i:
-                out.append(",")
+        sep = "{"
+        for key in sorted(value):
+            out.append(sep)
             _emit_string(key, out)
             out.append(":")
             _emit(value[key], out)
-        out.append("}")
+            sep = ","
+        out.append("}" if sep == "," else "{}")
+    elif isinstance(value, bool):
+        out.append("true" if value else "false")
+    elif isinstance(value, int):
+        out.append(str(value))
     elif isinstance(value, (list, tuple)):
-        out.append("[")
-        for i, item in enumerate(value):
-            if i:
-                out.append(",")
+        sep = "["
+        for item in value:
+            out.append(sep)
             _emit(item, out)
-        out.append("]")
+            sep = ","
+        out.append("]" if sep == "," else "[]")
+    elif isinstance(value, float):
+        if not math.isfinite(value):
+            raise CanonicalizationError(f"non-finite real not canonicalizable: {value!r}")
+        out.append('f"' + _pack_double(value).hex() + '"')
+    elif isinstance(value, (bytes, bytearray)):
+        out.append('b"' + value.hex() + '"')
     else:
         raise CanonicalizationError(f"type {type(value).__name__} is not canonicalizable")
 
@@ -150,180 +179,213 @@ def dumps_pretty(value, indent: int = 2) -> str:
     return "".join(out)
 
 
-class _Parser:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
+# The parser: one scan function per production, each taking the text and the
+# offset to start at and returning ``(value, offset after it)``.
 
-    def error(self, message: str) -> NotationParseError:
-        return NotationParseError(f"{message} at offset {self.pos}")
+_WHITESPACE = " \t\r\n"
+_WHITESPACE_RUN = re.compile(r"[ \t\r\n]*")
+_NEXT_CHAR = re.compile(r"[ \t\r\n]*(.?)", re.DOTALL)
+_PLAIN_STRING_TAIL = re.compile(r'([^"\\]*)"')
+_UNESCAPED_RUN = re.compile(r'[^"\\]*')
+_PLAIN_KEY = re.compile(r'[ \t\r\n]*"([^"\\]*)"[ \t\r\n]*:')
+_TEXT_MEMBER = re.compile(r'[ \t\r\n]*"([^"\\]*)"[ \t\r\n]*:[ \t\r\n]*"([^"\\]*)"[ \t\r\n]*([,}])')
+_NUMBER = re.compile(r"-?[0-9]*(\.[0-9]*)?([eE][-+]?[0-9]*)?")
+_UNESCAPES = {"n": "\n", "t": "\t", "r": "\r", '"': '"', "\\": "\\"}
 
-    def skip_ws(self) -> None:
-        while self.pos < len(self.text) and self.text[self.pos] in " \t\r\n":
-            self.pos += 1
 
-    def peek(self) -> str:
-        if self.pos >= len(self.text):
-            raise self.error("unexpected end of input")
-        return self.text[self.pos]
+def _error(message: str, pos: int) -> NotationParseError:
+    return NotationParseError(f"{message} at offset {pos}")
 
-    def expect(self, ch: str) -> None:
-        if self.pos >= len(self.text) or self.text[self.pos] != ch:
-            raise self.error(f"expected {ch!r}")
-        self.pos += 1
 
-    def parse_value(self):
-        self.skip_ws()
-        ch = self.peek()
-        if ch == "{":
-            return self.parse_map()
-        if ch == "[":
-            return self.parse_list()
-        if ch == '"':
-            return self.parse_string()
-        if ch == "f" and self.text.startswith('f"', self.pos):
-            return self.parse_hex_float()
-        if ch == "b" and self.text.startswith('b"', self.pos):
-            return self.parse_bytes()
-        if self.text.startswith("true", self.pos):
-            self.pos += 4
-            return True
-        if self.text.startswith("false", self.pos):
-            self.pos += 5
-            return False
-        if ch == "-" or ch.isdigit():
-            return self.parse_number()
-        raise self.error(f"unexpected character {ch!r}")
+def _scan_value(s: str, pos: int, depth: int):
+    try:
+        ch = s[pos]
+        if ch in _WHITESPACE:
+            pos = _WHITESPACE_RUN.match(s, pos).end()
+            ch = s[pos]
+    except IndexError:
+        raise _error("unexpected end of input", pos) from None
+    if ch == '"':
+        return _scan_string(s, pos + 1)
+    if ch == "{":
+        return _scan_map(s, pos + 1, depth + 1)
+    if ch == "[":
+        return _scan_list(s, pos + 1, depth + 1)
+    if "0" <= ch <= "9" or ch == "-":
+        return _scan_number(s, pos)
+    if ch == "f" and s.startswith('f"', pos):
+        return _scan_hex_float(s, pos + 2)
+    if ch == "b" and s.startswith('b"', pos):
+        return _scan_bytes(s, pos + 2)
+    if ch == "t" and s.startswith("true", pos):
+        return True, pos + 4
+    if ch == "f" and s.startswith("false", pos):
+        return False, pos + 5
+    if ch.isdigit():
+        return _scan_number_per_char(s, pos)
+    raise _error(f"unexpected character {ch!r}", pos)
 
-    def parse_map(self) -> dict:
-        self.expect("{")
-        result: dict = {}
-        self.skip_ws()
-        if self.peek() == "}":
-            self.pos += 1
-            return result
-        while True:
-            self.skip_ws()
-            key = self.parse_string()
-            self.skip_ws()
-            self.expect(":")
-            result[key] = self.parse_value()
-            self.skip_ws()
-            ch = self.peek()
-            self.pos += 1
-            if ch == "}":
-                return result
-            if ch != ",":
-                raise self.error("expected ',' or '}' in map")
 
-    def parse_list(self) -> list:
-        self.expect("[")
-        result: list = []
-        self.skip_ws()
-        if self.peek() == "]":
-            self.pos += 1
-            return result
-        while True:
-            result.append(self.parse_value())
-            self.skip_ws()
-            ch = self.peek()
-            self.pos += 1
-            if ch == "]":
-                return result
-            if ch != ",":
-                raise self.error("expected ',' or ']' in list")
-
-    def parse_string(self) -> str:
-        self.expect('"')
-        chars: list[str] = []
-        while True:
-            if self.pos >= len(self.text):
-                raise self.error("unterminated string")
-            ch = self.text[self.pos]
-            self.pos += 1
-            if ch == '"':
-                return "".join(chars)
-            if ch == "\\":
-                esc = self.text[self.pos : self.pos + 1]
-                self.pos += 1
-                if esc == "n":
-                    chars.append("\n")
-                elif esc == "t":
-                    chars.append("\t")
-                elif esc == "r":
-                    chars.append("\r")
-                elif esc in ('"', "\\"):
-                    chars.append(esc)
-                elif esc == "u":
-                    code = self.text[self.pos : self.pos + 4]
-                    if len(code) < 4:
-                        raise self.error("truncated \\u escape")
-                    chars.append(chr(int(code, 16)))
-                    self.pos += 4
-                else:
-                    raise self.error(f"invalid escape \\{esc}")
+def _scan_map(s: str, pos: int, depth: int):
+    if depth > MAX_DEPTH:
+        raise _error(f"nesting deeper than {MAX_DEPTH}", pos - 1)
+    result: dict = {}
+    first = _NEXT_CHAR.match(s, pos)
+    if first.group(1) == "}":
+        return result, first.end()
+    if not first.group(1):
+        raise _error("unexpected end of input", first.end())
+    while True:
+        # Most members are a plain key, a plain text value and a separator.
+        member = _TEXT_MEMBER.match(s, pos)
+        if member is not None:
+            key, result[key], ch = member.group(1, 2, 3)
+            pos = member.end()
+        else:
+            key_match = _PLAIN_KEY.match(s, pos)
+            if key_match is not None:
+                key, pos = key_match.group(1), key_match.end()
             else:
-                chars.append(ch)
+                pos = _WHITESPACE_RUN.match(s, pos).end()
+                if s[pos : pos + 1] != '"':
+                    raise _error("expected '\"'", pos)
+                key, pos = _scan_string(s, pos + 1)
+                pos = _WHITESPACE_RUN.match(s, pos).end()
+                if s[pos : pos + 1] != ":":
+                    raise _error("expected ':'", pos)
+                pos += 1
+            result[key], pos = _scan_value(s, pos, depth)
+            after = _NEXT_CHAR.match(s, pos)
+            ch, pos = after.group(1), after.end()
+        if ch == ",":
+            continue
+        if ch == "}":
+            return result, pos
+        raise _error("expected ',' or '}' in map" if ch else "unexpected end of input", pos)
 
-    def parse_hex_float(self) -> float:
-        self.pos += 2  # f"
-        digits = self.text[self.pos : self.pos + 16]
-        if len(digits) < 16:
-            raise self.error("truncated float bit pattern")
-        try:
-            raw = bytes.fromhex(digits)
-        except ValueError:
-            raise self.error(f"invalid float bit pattern {digits!r}") from None
-        self.pos += 16
-        self.expect('"')
-        return struct.unpack(">d", raw)[0]
 
-    def parse_bytes(self) -> bytes:
-        self.pos += 2  # b"
-        end = self.text.find('"', self.pos)
-        if end < 0:
-            raise self.error("unterminated byte string")
-        digits = self.text[self.pos : end]
-        try:
-            raw = bytes.fromhex(digits)
-        except ValueError:
-            raise self.error("byte string must be lowercase hex") from None
-        self.pos = end + 1
-        return raw
+def _scan_list(s: str, pos: int, depth: int):
+    if depth > MAX_DEPTH:
+        raise _error(f"nesting deeper than {MAX_DEPTH}", pos - 1)
+    result: list = []
+    first = _NEXT_CHAR.match(s, pos)
+    if first.group(1) == "]":
+        return result, first.end()
+    if not first.group(1):
+        raise _error("unexpected end of input", first.end())
+    while True:
+        value, pos = _scan_value(s, pos, depth)
+        result.append(value)
+        after = _NEXT_CHAR.match(s, pos)
+        ch, pos = after.group(1), after.end()
+        if ch == ",":
+            continue
+        if ch == "]":
+            return result, pos
+        raise _error("expected ',' or ']' in list" if ch else "unexpected end of input", pos)
 
-    def parse_number(self):
-        start = self.pos
-        if self.peek() == "-":
-            self.pos += 1
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
-            self.pos += 1
-        is_float = False
-        if self.pos < len(self.text) and self.text[self.pos] == ".":
-            is_float = True
-            self.pos += 1
-            while self.pos < len(self.text) and self.text[self.pos].isdigit():
-                self.pos += 1
-        if self.pos < len(self.text) and self.text[self.pos] in "eE":
-            is_float = True
-            self.pos += 1
-            if self.pos < len(self.text) and self.text[self.pos] in "+-":
-                self.pos += 1
-            while self.pos < len(self.text) and self.text[self.pos].isdigit():
-                self.pos += 1
-        token = self.text[start : self.pos]
-        try:
-            return float(token) if is_float else int(token)
-        except ValueError:
-            raise self.error(f"invalid number {token!r}") from None
+
+def _scan_string(s: str, pos: int):
+    """Scan the rest of a string whose opening quote ends just before ``pos``."""
+    match = _PLAIN_STRING_TAIL.match(s, pos)
+    if match is not None:
+        return match.group(1), match.end()
+    chunks: list[str] = []
+    while True:
+        end = _UNESCAPED_RUN.match(s, pos).end()
+        chunks.append(s[pos:end])
+        if end >= len(s):
+            raise _error("unterminated string", end)
+        pos = end + 1
+        if s[end] == '"':
+            return "".join(chunks), pos
+        esc = s[pos : pos + 1]
+        pos += 1
+        if esc in _UNESCAPES:
+            chunks.append(_UNESCAPES[esc])
+        elif esc == "u":
+            code = s[pos : pos + 4]
+            if len(code) < 4:
+                raise _error("truncated \\u escape", pos)
+            try:
+                chunks.append(chr(int(code, 16)))
+            except ValueError:
+                raise _error(f"invalid \\u escape {code!r}", pos) from None
+            pos += 4
+        else:
+            raise _error(f"invalid escape \\{esc}", pos)
+
+
+def _scan_hex_float(s: str, pos: int):
+    digits = s[pos : pos + 16]
+    if len(digits) < 16:
+        raise _error("truncated float bit pattern", pos)
+    try:
+        raw = bytes.fromhex(digits)
+    except ValueError:
+        raise _error(f"invalid float bit pattern {digits!r}", pos) from None
+    if s[pos + 16 : pos + 17] != '"':
+        raise _error("expected '\"'", pos + 16)
+    if len(raw) != 8:
+        raise _error(f"invalid float bit pattern {digits!r}", pos)
+    return _unpack_double(raw)[0], pos + 17
+
+
+def _scan_bytes(s: str, pos: int):
+    end = s.find('"', pos)
+    if end < 0:
+        raise _error("unterminated byte string", pos)
+    try:
+        raw = bytes.fromhex(s[pos:end])
+    except ValueError:
+        raise _error("byte string must be lowercase hex", pos) from None
+    return raw, end + 1
+
+
+def _number_value(token: str, is_float: bool, end: int):
+    try:
+        return (float(token) if is_float else int(token)), end
+    except ValueError:
+        raise _error(f"invalid number {token!r}", end) from None
+
+
+def _scan_number(s: str, pos: int):
+    match = _NUMBER.match(s, pos)
+    end = match.end()
+    if end < len(s) and s[end] > "\x7f" and s[end].isdigit():
+        return _scan_number_per_char(s, pos)
+    return _number_value(match.group(), match.lastindex is not None, end)
+
+
+def _scan_number_per_char(s: str, pos: int):
+    """Numbers holding non-ASCII characters that ``str.isdigit`` accepts."""
+    start = pos
+    if s[pos] == "-":
+        pos += 1
+    while pos < len(s) and s[pos].isdigit():
+        pos += 1
+    is_float = False
+    if s[pos : pos + 1] == ".":
+        is_float = True
+        pos += 1
+        while pos < len(s) and s[pos].isdigit():
+            pos += 1
+    if s[pos : pos + 1] in ("e", "E"):
+        is_float = True
+        pos += 1
+        if s[pos : pos + 1] in ("+", "-"):
+            pos += 1
+        while pos < len(s) and s[pos].isdigit():
+            pos += 1
+    return _number_value(s[start:pos], is_float, pos)
 
 
 def parse(text: str):
     """Parse canonical object notation (whitespace-insensitive on input)."""
-    parser = _Parser(text)
-    value = parser.parse_value()
-    parser.skip_ws()
-    if parser.pos != len(text):
-        raise parser.error("trailing content after value")
+    value, pos = _scan_value(text, 0, 0)
+    pos = _WHITESPACE_RUN.match(text, pos).end()
+    if pos != len(text):
+        raise _error("trailing content after value", pos)
     return value
 
 

@@ -67,10 +67,10 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_verify_chain(args) -> int:
-    text = Path(args.ledger).read_text()
-    verdict = verify_dump(text)
+    data = Path(args.ledger).read_bytes()
+    verdict = verify_dump(data)
     if verdict is None:
-        blocks = sum(1 for line in text.splitlines() if line.strip())
+        blocks = sum(1 for line in data.split(b"\n") if line.strip())
         print(f"chain valid ({blocks} blocks)")
         return 0
     print(f"corrupt at block {verdict}")
@@ -79,7 +79,7 @@ def _cmd_verify_chain(args) -> int:
 
 def _cmd_audit(args) -> int:
     try:
-        chain = load_ledger(Path(args.ledger).read_text())
+        chain = load_ledger(Path(args.ledger).read_bytes())
     except NotationParseError as exc:
         print(f"ledger does not parse: {exc}", file=sys.stderr)
         return 1

@@ -18,7 +18,7 @@ import hashlib
 from cryptography.exceptions import InvalidTag
 from cryptography.hazmat.primitives.ciphers.aead import AESGCM
 
-from .canon import canonicalize
+from .canon import canonicalize, loads
 
 __all__ = [
     "AuthenticationError",
@@ -163,6 +163,4 @@ def unseal(payload: SealedPayload, keys: KeyTable):
         plain = AESGCM(key).decrypt(nonce, body + payload.auth_tag, None)
     except InvalidTag:
         raise AuthenticationError(f"sealed payload for key {payload.key_id!r} failed authentication") from None
-    from .canon import loads
-
     return loads(plain)

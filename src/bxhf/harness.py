@@ -526,13 +526,14 @@ def save_world(world: WorldState, out_dir: str | Path) -> Path:
 def load_world(world_dir: str | Path) -> WorldState:
     """Rebuild a world from its saved files.
 
-    The ledger is loaded leniently (damaged lines dropped) so a tampered
-    dump can still be scored; records whose seals no longer authenticate
-    are listed in ``unreadable_records`` and left out of the datasets.
+    The ledger is loaded leniently (damaged lines dropped) and not verified
+    here, so a tampered dump can still be scored, and scoring verifies it
+    once; records whose seals no longer authenticate are listed in
+    ``unreadable_records`` and left out of the datasets.
     """
     base = Path(world_dir)
     config = load_config((base / SCENARIO_FILE).read_text())
-    ledger, _ = load_ledger_lenient((base / LEDGER_FILE).read_text())
+    ledger, _ = load_ledger_lenient((base / LEDGER_FILE).read_bytes())
     value = canon.loads((base / WORLD_FILE).read_bytes())
 
     keys = crypto.KeyTable.from_value(value["keys"])

@@ -220,6 +220,14 @@ class Ledger:
         self.blocks: list[Block] = [_make_block(0, ZERO_HASH, [])]
         self._tx_index: dict[str, Transaction] = {}
 
+    @classmethod
+    def from_blocks(cls, blocks: list[Block]) -> "Ledger":
+        """A ledger over already-built blocks (as loaded from a dump), unverified."""
+        ledger = cls.__new__(cls)
+        ledger.blocks = blocks
+        ledger._tx_index = {tx.tx_id: tx for block in blocks for tx in block.transactions}
+        return ledger
+
     def __len__(self) -> int:
         return len(self.blocks)
 
@@ -286,11 +294,7 @@ class Ledger:
                     return i
                 if not block.transactions:
                     return i
-            try:
-                stored = loads(block.payload_bytes)
-            except NotationParseError:
-                return i
-            if stored != [tx.to_value() for tx in block.transactions]:
+            if block.payload_bytes != _payload_bytes(block.transactions):
                 return i
             for tx in block.transactions:
                 try:
@@ -359,64 +363,61 @@ def _block_from_value(value: dict) -> Block:
     )
 
 
-def verify_dump(text: str) -> int | None:
+def _parse_dump(data: bytes | str, skip_damaged: bool) -> tuple[list[Block], int | None]:
+    """Parse a ledger dump, one block per line, each line exactly once.
+
+    Lines are split on ``"\n"`` only; blank lines are ignored.  A line that is
+    not UTF-8, does not parse, or is not shaped like a block is damaged.
+    Returns the blocks that parsed and the index of the first damaged line
+    (None if there is none).  Parsing stops at that line unless
+    ``skip_damaged``, in which case damaged lines are left out.
+    """
+    blocks: list[Block] = []
+    damaged = None
+    newline = b"\n" if isinstance(data, (bytes, bytearray)) else "\n"
+    for i, line in enumerate(line for line in data.split(newline) if line.strip()):
+        try:
+            blocks.append(_block_from_value(loads(line)))
+        except (KeyError, TypeError, ValueError):  # ValueError covers decode and parse errors
+            if damaged is None:
+                damaged = i
+            if not skip_damaged:
+                break
+    return blocks, damaged
+
+
+def verify_dump(data: bytes | str) -> int | None:
     """Verify a ledger dump file, tolerating unparseable lines.
 
     A line that no longer parses as a block counts as corruption at that
     index; otherwise this is :meth:`Ledger.verify_chain` on the loaded chain.
     """
-    blocks: list[Block] = []
-    lines = [line for line in text.splitlines() if line.strip()]
-    if not lines:
+    blocks, damaged = _parse_dump(data, skip_damaged=False)
+    if damaged is not None:
+        return damaged
+    if not blocks:
         return 0
-    for i, line in enumerate(lines):
-        try:
-            blocks.append(_block_from_value(loads(line)))
-        except Exception:
-            return i
-    ledger = Ledger.__new__(Ledger)
-    ledger.blocks = blocks
-    ledger._tx_index = {tx.tx_id: tx for block in blocks for tx in block.transactions}
-    return ledger.verify_chain()
+    return Ledger.from_blocks(blocks).verify_chain()
 
 
-def load_ledger_lenient(text: str) -> tuple[Ledger, int | None]:
-    """Load a possibly damaged dump for inspection.
+def load_ledger_lenient(data: bytes | str) -> tuple[Ledger, int | None]:
+    """Load a possibly damaged dump for inspection, without verifying it.
 
     Unparseable lines are dropped from the returned chain; the second element
-    is the :func:`verify_dump` verdict on the original text, so callers still
-    see corruption reported at the right block index.
+    is the index of the first of them (None if every line parsed), which is
+    also the :func:`verify_dump` verdict whenever it is not None.  Run
+    :meth:`Ledger.verify_chain` on the result to check integrity.
     """
-    verdict = verify_dump(text)
-    ledger = Ledger.__new__(Ledger)
-    ledger.blocks = []
-    ledger._tx_index = {}
-    for line in text.splitlines():
-        if not line.strip():
-            continue
-        try:
-            block = _block_from_value(loads(line))
-        except Exception:
-            continue
-        ledger.blocks.append(block)
-        for tx in block.transactions:
-            ledger._tx_index[tx.tx_id] = tx
-    return ledger, verdict
+    blocks, damaged = _parse_dump(data, skip_damaged=True)
+    return Ledger.from_blocks(blocks), damaged
 
 
-def load_ledger(text: str) -> Ledger:
+def load_ledger(data: bytes | str) -> Ledger:
     """Reconstruct a ledger from a dump.  Structural validity only; run
     :meth:`Ledger.verify_chain` to check integrity."""
-    ledger = Ledger.__new__(Ledger)
-    ledger.blocks = []
-    ledger._tx_index = {}
-    for line in text.splitlines():
-        if not line.strip():
-            continue
-        block = _block_from_value(loads(line))
-        ledger.blocks.append(block)
-        for tx in block.transactions:
-            ledger._tx_index[tx.tx_id] = tx
-    if not ledger.blocks:
+    blocks, damaged = _parse_dump(data, skip_damaged=False)
+    if damaged is not None:
+        raise NotationParseError(f"block {damaged} of the ledger dump does not parse")
+    if not blocks:
         raise NotationParseError("ledger dump is empty")
-    return ledger
+    return Ledger.from_blocks(blocks)

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from bxhf.canon import canonicalize, dumps, loads
+from bxhf.canon import NotationParseError, canonicalize, dumps, loads
 from bxhf.crypto import ZERO_HASH, digest, digest_value
 from bxhf.ledger import (
     Ledger,
@@ -225,6 +225,58 @@ def test_load_ledger_lenient_skips_damage_but_reports_it():
     assert verdict == 1
     assert len(loaded.blocks) == 3  # damaged line dropped
     assert loaded.verify_chain() is not None
+
+
+def test_non_canonical_payload_bytes_are_rejected_even_with_matching_hashes():
+    # Same transactions, re-spaced bytes, every hash recomputed over them.
+    chain = _chain_with_blocks(2)
+    block = chain.blocks[-1]
+    block.payload_bytes = b" " + block.payload_bytes
+    block.payload_hash = digest(block.payload_bytes)
+    block.block_hash = digest(
+        canonicalize({"index": block.index, "prev_hash": block.prev_hash, "payload_hash": block.payload_hash})
+    )
+    assert loads(block.payload_bytes) == [tx.to_value() for tx in block.transactions]
+    assert chain.verify_chain() == block.index
+
+
+def test_dump_lines_split_on_newline_only():
+    data = dump_ledger(_chain_with_blocks(3)).encode()
+    second_newline = data.index(b"\n", data.index(b"\n") + 1)
+    for other_break in (b"\x0b", b"\x0c", b"\x1c", b"\x85"):
+        merged = data[:second_newline] + other_break + data[second_newline + 1 :]
+        assert verify_dump(merged) == 1
+
+
+def test_undecodable_line_is_damage_at_its_block():
+    data = bytearray(dump_ledger(_chain_with_blocks(3)).encode())
+    third_line = data.index(b"\n", data.index(b"\n") + 1) + 1
+    data[third_line + 5] ^= 0x80
+    assert verify_dump(bytes(data)) == 2
+    loaded, damaged = load_ledger_lenient(bytes(data))
+    assert damaged == 2 and len(loaded.blocks) == 3
+    with pytest.raises(NotationParseError, match="block 2"):
+        load_ledger(bytes(data))
+
+
+def test_line_that_parses_but_is_not_a_block_is_damage():
+    lines = dump_ledger(_chain_with_blocks(2)).splitlines()
+    for not_a_block in ("[]", '{"index":1}', '{"transactions":7}', "1e999"):
+        damaged = "\n".join([lines[0], not_a_block, lines[2]])
+        assert verify_dump(damaged) == 1
+        with pytest.raises(NotationParseError):
+            load_ledger(damaged)
+
+
+def test_lenient_load_reports_damage_but_does_not_verify():
+    lines = dump_ledger(_chain_with_blocks(2)).splitlines()
+    forged = loads(lines[1])
+    forged["block_hash"] = "0" * 64
+    lines[1] = dumps(forged)
+    text = "\n".join(lines)
+    loaded, damaged = load_ledger_lenient(text)
+    assert damaged is None and len(loaded) == 3
+    assert loaded.verify_chain() == verify_dump(text) == 1
 
 
 def test_audit_trail_in_time_order():
