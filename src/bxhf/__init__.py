@@ -39,6 +39,7 @@ from .crypto import (
     digest_value,
     seal,
     unseal,
+    unseal_bytes,
     verify_commit,
 )
 from .explain import (

@@ -115,14 +115,6 @@ def _parse_target(spec: str) -> tuple[str, str]:
     return kind, key
 
 
-def _flip_file_byte(data: bytes, offset: int) -> bytes:
-    if not 0 <= offset < len(data):
-        raise IndexError(f"offset {offset} out of range ({len(data)} bytes)")
-    out = bytearray(data)
-    out[offset] ^= 0x01
-    return bytes(out)
-
-
 def _cmd_tamper(args) -> int:
     kind, key = _parse_target(args.target)
     base = Path(args.world)
@@ -140,7 +132,7 @@ def _cmd_tamper(args) -> int:
             return 2
         target = body_lines[index]
         try:
-            lines[target] = _flip_file_byte(lines[target], args.offset)
+            lines[target] = harness.flip_bit(lines[target], args.offset, f"block {index}")
         except IndexError as exc:
             print(str(exc), file=sys.stderr)
             return 2
@@ -153,10 +145,14 @@ def _cmd_tamper(args) -> int:
     try:
         if kind == "record":
             holder = value["records"][key]["sealed"]
-            holder["ciphertext"] = _flip_file_byte(holder["ciphertext"], args.offset)
+            holder["ciphertext"] = harness.flip_bit(
+                holder["ciphertext"], args.offset, f"record {key}"
+            )
         else:
             holder = value["decisions"][key]
-            holder["explanation"] = _flip_file_byte(holder["explanation"], args.offset)
+            holder["explanation"] = harness.flip_bit(
+                holder["explanation"], args.offset, f"explanation {key}"
+            )
     except KeyError:
         print(f"no {kind} {key!r} in {path}", file=sys.stderr)
         return 2

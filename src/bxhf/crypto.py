@@ -31,6 +31,7 @@ __all__ = [
     "digest",
     "seal",
     "unseal",
+    "unseal_bytes",
     "verify_commit",
 ]
 
@@ -74,6 +75,10 @@ class Commitment:
     def from_value(cls, value: dict) -> "Commitment":
         return cls(digest=value["digest"], salt=value["salt"])
 
+    def matches(self, encoded: bytes) -> bool:
+        """True iff these exact bytes, salted, reproduce the digest."""
+        return digest(encoded + self.salt) == self.digest
+
 
 def commit(plaintext, salt: bytes) -> Commitment:
     """Commit to a structured value: ``digest = H(canonical(plaintext) || salt)``."""
@@ -84,7 +89,7 @@ def commit(plaintext, salt: bytes) -> Commitment:
 
 def verify_commit(plaintext, commitment: Commitment) -> bool:
     """True iff the plaintext reproduces the commitment digest under its salt."""
-    return digest(canonicalize(plaintext) + commitment.salt) == commitment.digest
+    return commitment.matches(canonicalize(plaintext))
 
 
 @dataclass(frozen=True)
@@ -150,8 +155,8 @@ def seal(plaintext, key_id: str, keys: KeyTable, nonce: bytes) -> SealedPayload:
     return SealedPayload(ciphertext=bytes(nonce) + body, auth_tag=tag, key_id=key_id)
 
 
-def unseal(payload: SealedPayload, keys: KeyTable):
-    """Recover the structured value from a sealed payload.
+def unseal_bytes(payload: SealedPayload, keys: KeyTable) -> bytes:
+    """Authenticate and decrypt a sealed payload, returning the sealed bytes.
 
     Raises :class:`UnknownKeyError` if the payload's key id is unregistered,
     :class:`AuthenticationError` if the bytes were tampered with or the
@@ -160,7 +165,12 @@ def unseal(payload: SealedPayload, keys: KeyTable):
     key = keys.get(payload.key_id)
     nonce, body = payload.ciphertext[:NONCE_LEN], payload.ciphertext[NONCE_LEN:]
     try:
-        plain = AESGCM(key).decrypt(nonce, body + payload.auth_tag, None)
+        return AESGCM(key).decrypt(nonce, body + payload.auth_tag, None)
     except InvalidTag:
         raise AuthenticationError(f"sealed payload for key {payload.key_id!r} failed authentication") from None
-    return loads(plain)
+
+
+def unseal(payload: SealedPayload, keys: KeyTable):
+    """Recover the structured value from a sealed payload; raises as
+    :func:`unseal_bytes` does."""
+    return loads(unseal_bytes(payload, keys))

@@ -18,7 +18,7 @@ which is minimized during training rather than checked afterwards.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -102,6 +102,10 @@ class LinearModel:
     weights: np.ndarray
     bias: float
     link: str = "logistic"
+    # ((parameter bytes, link), hash) of the last param_hash call
+    _hash_cache: tuple[tuple[bytes, str], str] | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
         self.weights = np.asarray(self.weights, dtype=float)
@@ -134,7 +138,13 @@ class LinearModel:
         )
 
     def param_hash(self) -> str:
-        return crypto.digest_value(self.to_value())
+        """Digest of the canonical parameters, cached on their exact bytes so
+        that an in-place edit of ``weights`` never returns a stale hash."""
+        params = np.append(np.asarray(self.weights, dtype=float), float(self.bias))
+        key = (params.tobytes(), self.link)
+        if self._hash_cache is None or self._hash_cache[0] != key:
+            self._hash_cache = (key, crypto.digest_value(self.to_value()))
+        return self._hash_cache[1]
 
 
 @dataclass

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .canon import NotationParseError, canonicalize, dumps, loads
+from .canon import CanonicalizationError, NotationParseError, canonicalize, dumps, loads
 from .crypto import ZERO_HASH, digest
 
 __all__ = [
@@ -91,9 +91,15 @@ def _is_hash(value) -> bool:
     )
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _validate_body(kind: str, body: dict) -> None:
-    if kind not in _BODY_FIELDS:
+    if not isinstance(kind, str) or kind not in _BODY_FIELDS:
         raise TransactionValidationError(f"unknown transaction kind {kind!r}")
+    if not isinstance(body, dict):
+        raise TransactionValidationError(f"{kind} body must be a map")
     required = _BODY_FIELDS[kind]
     missing = [name for name in required if name not in body]
     if missing:
@@ -107,8 +113,11 @@ def _validate_body(kind: str, body: dict) -> None:
             raise TransactionValidationError(f"invalid outcome {outcome!r}")
         if (outcome == "permit") != (reason == "granted"):
             raise TransactionValidationError("outcome=permit iff reason=granted")
-    if kind == "ConsentUpdate" and body["valid_from"] > body["valid_until"]:
-        raise TransactionValidationError("policy interval invalid: valid_from > valid_until")
+    if kind == "ConsentUpdate":
+        if not (_is_int(body["valid_from"]) and _is_int(body["valid_until"])):
+            raise TransactionValidationError("policy interval bounds must be integers")
+        if body["valid_from"] > body["valid_until"]:
+            raise TransactionValidationError("policy interval invalid: valid_from > valid_until")
 
 
 @dataclass(frozen=True)
@@ -140,7 +149,7 @@ def _tx_digest(kind: str, actor: str, logical_time: int, body: dict) -> str:
 def build_transaction(kind: str, actor: str, logical_time: int, body: dict) -> Transaction:
     """Validate a transaction body against its kind's schema and assign its id."""
     _validate_body(kind, body)
-    if not isinstance(logical_time, int) or logical_time < 1:
+    if not _is_int(logical_time) or logical_time < 1:
         raise TransactionValidationError("logical_time must be a positive integer")
     return Transaction(
         tx_id=_tx_digest(kind, actor, logical_time, body),
@@ -173,8 +182,10 @@ class Block:
     payload_hash: str
     block_hash: str
     transactions: list[Transaction]
-    # Authoritative stored bytes of the transaction batch; verification hashes
-    # these so byte-level tampering is always visible.
+    # Authoritative stored bytes of the transaction batch: the encoding made
+    # on append, or the dump line's own bytes on load.  Verification hashes
+    # these and requires them to be the canonical encoding of the batch, so
+    # any byte-level tampering, re-spacing included, is visible.
     payload_bytes: bytes = field(repr=False, default=b"")
 
     def header_value(self) -> dict:
@@ -190,8 +201,28 @@ class Block:
         }
 
 
-def _payload_bytes(txs: list[Transaction]) -> bytes:
-    return canonicalize([tx.to_value() for tx in txs])
+def _encode_transactions(txs: list[Transaction]) -> tuple[list[str], bytes]:
+    """Emit each transaction once; return the tx ids it derives and the payload.
+
+    Map keys sort ``actor < body < kind < logical_time < tx_id``, so a
+    transaction's payload element is its tx-id preimage (the canonical map
+    without ``tx_id``) with the closing brace replaced by ``,"tx_id":"…"}``.
+    The payload carries the derived ids, so it equals the canonical encoding
+    of the batch exactly when every stored ``tx_id`` is the derived one.
+    """
+    tx_ids = []
+    elements = []
+    for tx in txs:
+        preimage = canonicalize(
+            {"kind": tx.kind, "actor": tx.actor, "logical_time": tx.logical_time, "body": tx.body}
+        )
+        tx_id = digest(preimage)
+        tx_ids.append(tx_id)
+        elements.append(preimage[:-1] + b',"tx_id":"' + tx_id.encode() + b'"}')
+    return tx_ids, b"[" + b",".join(elements) + b"]"
+
+
+_GENESIS_PAYLOAD = canonicalize([])
 
 
 def _block_hash(index: int, prev_hash: str, payload_hash: str) -> str:
@@ -200,8 +231,7 @@ def _block_hash(index: int, prev_hash: str, payload_hash: str) -> str:
     )
 
 
-def _make_block(index: int, prev_hash: str, txs: list[Transaction]) -> Block:
-    payload = _payload_bytes(txs)
+def _make_block(index: int, prev_hash: str, txs: list[Transaction], payload: bytes) -> Block:
     payload_hash = digest(payload)
     return Block(
         index=index,
@@ -217,7 +247,7 @@ class Ledger:
     """The hash chain: genesis plus appended blocks of validated transactions."""
 
     def __init__(self):
-        self.blocks: list[Block] = [_make_block(0, ZERO_HASH, [])]
+        self.blocks: list[Block] = [_make_block(0, ZERO_HASH, [], _GENESIS_PAYLOAD)]
         self._tx_index: dict[str, Transaction] = {}
 
     @classmethod
@@ -236,9 +266,12 @@ class Ledger:
         return self.blocks[-1]
 
     def max_logical_time(self) -> int:
+        """The last integer logical time on the chain (0 if there is none);
+        a loaded, unverified chain can also hold mistyped ones."""
         for block in reversed(self.blocks):
-            if block.transactions:
-                return block.transactions[-1].logical_time
+            for tx in reversed(block.transactions):
+                if _is_int(tx.logical_time):
+                    return tx.logical_time
         return 0
 
     def append_block(self, txs: list[Transaction]) -> Block:
@@ -249,18 +282,21 @@ class Ledger:
         """
         if not txs:
             raise TransactionValidationError("empty blocks are reserved for genesis")
-        floor = self.max_logical_time()
         for tx in txs:
             _validate_body(tx.kind, tx.body)
-            expected = _tx_digest(tx.kind, tx.actor, tx.logical_time, tx.body)
-            if tx.tx_id != expected:
+            if not _is_int(tx.logical_time):
+                raise TransactionValidationError("logical_time must be a positive integer")
+        tx_ids, payload = _encode_transactions(txs)
+        floor = self.max_logical_time()
+        for tx, tx_id in zip(txs, tx_ids):
+            if tx.tx_id != tx_id:
                 raise TransactionValidationError(f"tx_id mismatch for {tx.tx_id[:12]}")
             if tx.logical_time <= floor:
                 raise LedgerOrderingError(
                     f"logical_time {tx.logical_time} not above chain maximum {floor}"
                 )
             floor = tx.logical_time
-        block = _make_block(len(self.blocks), self.head.block_hash, txs)
+        block = _make_block(len(self.blocks), self.head.block_hash, txs, payload)
         self.blocks.append(block)
         for tx in txs:
             self._tx_index[tx.tx_id] = tx
@@ -277,35 +313,45 @@ class Ledger:
         return sum(1 for tx in self.iter_txs() if tx.kind == kind)
 
     def verify_chain(self) -> int | None:
-        """Return None when the chain is intact, else the first corrupt index."""
+        """Return None when the chain is intact, else the first corrupt index.
+
+        A block is corrupt when a hash or link does not match, when a
+        transaction fails its schema (a non-integer index or logical time
+        included) or is out of order, or when its payload bytes are not the
+        canonical encoding of its transactions under their derived tx ids.
+        """
         prev_time = 0
         for i, block in enumerate(self.blocks):
-            if block.index != i:
+            if not _is_int(block.index) or block.index != i:
                 return i
             if digest(block.payload_bytes) != block.payload_hash:
                 return i
             if _block_hash(block.index, block.prev_hash, block.payload_hash) != block.block_hash:
                 return i
             if i == 0:
-                if block.prev_hash != ZERO_HASH or block.payload_bytes != canonicalize([]):
+                if block.prev_hash != ZERO_HASH or block.payload_bytes != _GENESIS_PAYLOAD:
                     return i
             else:
                 if block.prev_hash != self.blocks[i - 1].block_hash:
                     return i
                 if not block.transactions:
                     return i
-            if block.payload_bytes != _payload_bytes(block.transactions):
-                return i
             for tx in block.transactions:
                 try:
                     _validate_body(tx.kind, tx.body)
                 except TransactionValidationError:
                     return i
-                if tx.tx_id != _tx_digest(tx.kind, tx.actor, tx.logical_time, tx.body):
-                    return i
-                if tx.logical_time <= prev_time:
+                if not _is_int(tx.logical_time) or tx.logical_time <= prev_time:
                     return i
                 prev_time = tx.logical_time
+            try:
+                tx_ids, payload = _encode_transactions(block.transactions)
+            except CanonicalizationError:
+                return i
+            if block.payload_bytes != payload:
+                return i
+            if any(tx.tx_id != tx_id for tx, tx_id in zip(block.transactions, tx_ids)):
+                return i
         return None
 
     def audit_trail(self, record_id: str) -> list[Transaction]:
@@ -342,7 +388,20 @@ def dump_ledger(ledger: Ledger) -> str:
     return "".join(dumps(block.to_value()) + "\n" for block in ledger.blocks)
 
 
-def _block_from_value(value: dict) -> Block:
+def _block_from_line(line: bytes) -> Block:
+    """One dump line as a block whose payload bytes are the line's own bytes.
+
+    The line must start with the canonical encoding of its parsed header up
+    to ``"transactions":`` and end with ``}``; the payload bytes are what lies
+    between.  :meth:`Ledger.verify_chain` then requires them to be the
+    canonical encoding of the parsed transactions, so a line that is not
+    byte-for-byte canonical never verifies.
+    """
+    value = loads(line)
+    header = {key: value[key] for key in ("block_hash", "index", "payload_hash", "prev_hash")}
+    prefix = canonicalize(header)[:-1] + b',"transactions":'
+    if not (line.startswith(prefix) and line.endswith(b"}")):
+        raise NotationParseError("block line is not canonical around its payload")
     txs = [
         Transaction(
             tx_id=tv["tx_id"],
@@ -359,7 +418,7 @@ def _block_from_value(value: dict) -> Block:
         payload_hash=value["payload_hash"],
         block_hash=value["block_hash"],
         transactions=txs,
-        payload_bytes=_payload_bytes(txs),
+        payload_bytes=bytes(line[len(prefix) : -1]),
     )
 
 
@@ -367,17 +426,21 @@ def _parse_dump(data: bytes | str, skip_damaged: bool) -> tuple[list[Block], int
     """Parse a ledger dump, one block per line, each line exactly once.
 
     Lines are split on ``"\n"`` only; blank lines are ignored.  A line that is
-    not UTF-8, does not parse, or is not shaped like a block is damaged.
-    Returns the blocks that parsed and the index of the first damaged line
-    (None if there is none).  Parsing stops at that line unless
-    ``skip_damaged``, in which case damaged lines are left out.
+    not UTF-8, does not parse, is not shaped like a block, or is not canonical
+    around its payload is damaged.  Each block's payload bytes are the file's
+    own bytes, never a re-encoding.  Returns the blocks that parsed and the
+    index of the first damaged line (None if there is none).  Parsing stops
+    at that line unless ``skip_damaged``, in which case damaged lines are
+    left out.
     """
+    if isinstance(data, str):
+        # a lone surrogate survives to fail UTF-8 decoding: damage at its line
+        data = data.encode("utf-8", "surrogatepass")
     blocks: list[Block] = []
     damaged = None
-    newline = b"\n" if isinstance(data, (bytes, bytearray)) else "\n"
-    for i, line in enumerate(line for line in data.split(newline) if line.strip()):
+    for i, line in enumerate(line for line in data.split(b"\n") if line.strip()):
         try:
-            blocks.append(_block_from_value(loads(line)))
+            blocks.append(_block_from_line(line))
         except (KeyError, TypeError, ValueError):  # ValueError covers decode and parse errors
             if damaged is None:
                 damaged = i
@@ -387,33 +450,40 @@ def _parse_dump(data: bytes | str, skip_damaged: bool) -> tuple[list[Block], int
 
 
 def verify_dump(data: bytes | str) -> int | None:
-    """Verify a ledger dump file, tolerating unparseable lines.
+    """Verify a ledger dump file, tolerating damaged lines.
 
-    A line that no longer parses as a block counts as corruption at that
-    index; otherwise this is :meth:`Ledger.verify_chain` on the loaded chain.
+    This is :meth:`Ledger.verify_chain` on the blocks before the first
+    damaged line; when those verify, the damaged line itself is the first
+    corrupt index.  An empty dump is corrupt at block 0.
     """
     blocks, damaged = _parse_dump(data, skip_damaged=False)
-    if damaged is not None:
-        return damaged
-    if not blocks:
+    if blocks:
+        verdict = Ledger.from_blocks(blocks).verify_chain()
+        if verdict is not None:
+            return verdict
+    elif damaged is None:
         return 0
-    return Ledger.from_blocks(blocks).verify_chain()
+    return damaged
 
 
 def load_ledger_lenient(data: bytes | str) -> tuple[Ledger, int | None]:
     """Load a possibly damaged dump for inspection, without verifying it.
 
-    Unparseable lines are dropped from the returned chain; the second element
-    is the index of the first of them (None if every line parsed), which is
-    also the :func:`verify_dump` verdict whenever it is not None.  Run
-    :meth:`Ledger.verify_chain` on the result to check integrity.
+    Damaged lines (see :func:`_parse_dump`; a line not canonical around its
+    payload is damage) are dropped from the returned chain; the second element is the index of
+    the first of them (None if every line parsed).  Payload bytes are the
+    file's own bytes.  Run :meth:`Ledger.verify_chain` on the result to check
+    integrity.
     """
     blocks, damaged = _parse_dump(data, skip_damaged=True)
     return Ledger.from_blocks(blocks), damaged
 
 
 def load_ledger(data: bytes | str) -> Ledger:
-    """Reconstruct a ledger from a dump.  Structural validity only; run
+    """Reconstruct a ledger from a dump, payload bytes being the file's own.
+
+    Structural validity only: a damaged line, a non-canonical one included,
+    raises :class:`NotationParseError` naming its block.  Run
     :meth:`Ledger.verify_chain` to check integrity."""
     blocks, damaged = _parse_dump(data, skip_damaged=False)
     if damaged is not None:

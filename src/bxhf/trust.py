@@ -3,8 +3,8 @@
 The security score aggregates three measurable fractions of ledger state:
 
 * integrity: chain validity gating the fraction of registered records whose
-  stored sealed bytes still authenticate and reproduce their on-chain
-  commitment,
+  stored sealed bytes still authenticate and whose decrypted bytes, salted,
+  reproduce their on-chain commitment digest,
 * provenance: the fraction of held records with a registration transaction,
 * auditability: on-chain access decisions per ground-truth access event,
   capped at one.
@@ -14,19 +14,20 @@ The trust objective couples model quality to that score:
     objective = empirical_loss + penalty_weight * mean_penalty
                                 - security_weight * security
 
-so tampering with any stored record strictly increases the objective when
-the security weight is positive.
+where mean_penalty is the training penalty
+:func:`~bxhf.learning.mean_sign_violation`, the row mean of
+:func:`~bxhf.explain.plausibility_penalty` over each row's exact
+explanation, computed in one vectorized pass.  Tampering with any stored
+record strictly increases the objective when the security weight is
+positive.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import crypto
-from .explain import explain_linear, plausibility_penalty
-from .learning import Dataset, FeatureSpec, LinearModel, loss
+from .learning import Dataset, FeatureSpec, LinearModel, loss, mean_sign_violation
 from .ledger import Ledger
 
 __all__ = [
@@ -43,14 +44,16 @@ DEFAULT_WEIGHTS = (1.0 / 3.0, 1.0 / 3.0, 1.0 / 3.0)
 
 def verify_record(sealed_record, keys: crypto.KeyTable, registered_digest: str) -> bool:
     """Does the stored sealed record still authenticate and match its
-    on-chain commitment digest?"""
+    on-chain commitment digest?  One decryption and one hash: the commitment
+    is checked over the decrypted bytes themselves, so plaintext that is not
+    the canonical encoding it was committed as fails."""
     if sealed_record.commitment.digest != registered_digest:
         return False
     try:
-        plaintext = crypto.unseal(sealed_record.sealed, keys)
+        plain = crypto.unseal_bytes(sealed_record.sealed, keys)
     except (crypto.AuthenticationError, crypto.UnknownKeyError):
         return False
-    return crypto.verify_commit(plaintext, sealed_record.commitment)
+    return sealed_record.commitment.matches(plain)
 
 
 @dataclass(frozen=True)
@@ -164,12 +167,9 @@ def trust_objective(
         raise ValueError("trade-off weights must be non-negative")
     report = security if isinstance(security, SecurityReport) else security_score(security)
     empirical = loss(model, dataset)
-    # Routed through the explanation path on purpose: the reported penalty is
-    # the one an auditor recomputes from per-row explanations.
-    penalties = [
-        plausibility_penalty(explain_linear(model, spec, row), spec) for row in dataset.X
-    ]
-    mean_penalty = float(np.mean(penalties))
+    # The same hinge the per-row explanations give (an auditor can recompute
+    # it from them), without building one explanation per training row.
+    mean_penalty = mean_sign_violation(model, dataset.X, spec)
     objective = empirical + penalty_weight * mean_penalty - security_weight * report.score
     return TrustReport(
         empirical_loss=empirical,

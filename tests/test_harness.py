@@ -3,9 +3,13 @@ tampering, and persistence."""
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
+from cryptography.hazmat.primitives.ciphers.aead import AESGCM
 
+from bxhf import crypto
 from bxhf.access import IntegrityAlarmError
 from bxhf.harness import (
     LEDGER_FILE,
@@ -22,8 +26,10 @@ from bxhf.harness import (
     world_value,
 )
 from bxhf.canon import canonicalize
+from bxhf.explain import explain_linear, plausibility_penalty
 from bxhf.ledger import dump_ledger
 from bxhf.scenario import demo_profile, validate_config
+from bxhf.trust import DEFAULT_WEIGHTS, SecurityReport, trust_objective, verify_record
 
 
 def _built():
@@ -121,6 +127,43 @@ def test_record_tamper_reports_input_mismatch():
     txid, rid = _decision_for_record(world, report)
     tamper(world, ("record", rid), 3)
     assert verify_decision(world, txid) == "input"
+
+
+def test_record_resealed_with_re_spaced_plaintext_fails_input_checks():
+    world, report = _ran()
+    txid, rid = _decision_for_record(world, report)
+    owner = world.record_owner[rid]
+    record = world.stores[owner][rid]
+    plain = crypto.unseal_bytes(record.sealed, world.keys)
+    re_spaced = b"{ " + plain[1:]
+    nonce = record.sealed.ciphertext[: crypto.NONCE_LEN]
+    sealed = AESGCM(world.keys.get(record.sealed.key_id)).encrypt(nonce, re_spaced, None)
+    world.stores[owner][rid] = dataclasses.replace(
+        record,
+        sealed=dataclasses.replace(
+            record.sealed,
+            ciphertext=nonce + sealed[: -crypto.TAG_LEN],
+            auth_tag=sealed[-crypto.TAG_LEN :],
+        ),
+    )
+    resealed = world.stores[owner][rid]
+    # same value, same key, authenticates: only the committed bytes differ
+    assert crypto.unseal(resealed.sealed, world.keys) == crypto.unseal(record.sealed, world.keys)
+    assert verify_record(record, world.keys, record.commitment.digest)
+    assert not verify_record(resealed, world.keys, record.commitment.digest)
+    assert verify_decision(world, txid) == "input"
+
+
+def test_objective_penalty_is_the_mean_per_row_explanation_penalty():
+    world, _ = _ran()
+    spec = world.config.feature_spec
+    pooled = world.pooled_dataset()
+    clean = SecurityReport(1.0, 1.0, 1.0, DEFAULT_WEIGHTS, 1.0)
+    report = trust_objective(
+        world.model, pooled, spec, clean, penalty_weight=0.5, security_weight=0.0
+    )
+    per_row = [plausibility_penalty(explain_linear(world.model, spec, x), spec) for x in pooled.X]
+    assert report.mean_penalty == float(np.mean(per_row))
 
 
 def test_model_swap_reports_model_mismatch():

@@ -111,6 +111,17 @@ def test_model_value_round_trip_and_hash():
     assert bumped.param_hash() != model.param_hash()
 
 
+def test_param_hash_follows_in_place_weight_edits():
+    model = LinearModel(np.array([0.25, -1.5]), 0.75, "identity")
+    before = model.param_hash()
+    model.weights[0] += 1
+    assert model.param_hash() == LinearModel(np.array([1.25, -1.5]), 0.75, "identity").param_hash()
+    assert model.param_hash() != before
+    model.bias = -0.0
+    assert model.param_hash() == LinearModel(np.array([1.25, -1.5]), -0.0, "identity").param_hash()
+    assert model.param_hash() != LinearModel(np.array([1.25, -1.5]), 0.0, "identity").param_hash()
+
+
 def test_identity_regression_matches_lstsq():
     rng = np.random.default_rng(42)
     x = rng.uniform(-1, 1, 60)

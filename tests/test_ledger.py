@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from bxhf.canon import NotationParseError, canonicalize, dumps, loads
@@ -12,6 +14,8 @@ from bxhf.ledger import (
     LogicalClock,
     Transaction,
     TransactionValidationError,
+    _encode_transactions,
+    _tx_digest,
     build_transaction,
     dump_ledger,
     load_ledger,
@@ -190,6 +194,138 @@ def test_rewritten_transaction_detected_even_with_recomputed_payload():
     assert chain.verify_chain() == 2
 
 
+def _random_text(rng: random.Random) -> str:
+    alphabet = ["a", "Z", "7", " ", '"', "\\", "\n", "\t", "\x00", "\x1f", "\x7f"]
+    alphabet += ["é", "→", "中", "😀"]
+    return "".join(rng.choice(alphabet) for _ in range(rng.randrange(0, 8)))
+
+
+def _random_value(rng: random.Random, depth: int = 0):
+    kind = rng.randrange(7 if depth < 3 else 5)
+    if kind == 0:
+        return _random_text(rng)
+    if kind == 1:
+        return rng.randrange(-(10**12), 10**12)
+    if kind == 2:
+        return rng.uniform(-1e6, 1e6)
+    if kind == 3:
+        return rng.choice([True, False])
+    if kind == 4:
+        return rng.randbytes(rng.randrange(0, 6))
+    if kind == 5:
+        return [_random_value(rng, depth + 1) for _ in range(rng.randrange(0, 4))]
+    return {_random_text(rng): _random_value(rng, depth + 1) for _ in range(rng.randrange(0, 4))}
+
+
+def test_single_emission_encoder_matches_canonical_batch_and_tx_ids():
+    rng = random.Random(3)
+    clock = LogicalClock()
+    batches = [[]]  # the genesis batch
+    for _ in range(40):
+        batch = []
+        for _ in range(rng.randrange(1, 6)):
+            kind = rng.choice(["DataRegistration", "ModelUpdate"])
+            fields = {
+                "DataRegistration": ("record_id", "institution_id", "commitment"),
+                "ModelUpdate": ("node_id", "round", "delta_digest"),
+            }[kind]
+            body = {_random_text(rng): _random_value(rng) for _ in range(rng.randrange(0, 4))}
+            body.update({name: _random_text(rng) for name in fields})
+            body[fields[-1]] = digest(rng.randbytes(8))
+            batch.append(build_transaction(kind, _random_text(rng), clock.next(), body))
+        batches.append(batch)
+    for batch in batches:
+        tx_ids, payload = _encode_transactions(batch)
+        assert payload == canonicalize([tx.to_value() for tx in batch])
+        assert tx_ids == [_tx_digest(tx.kind, tx.actor, tx.logical_time, tx.body) for tx in batch]
+        assert tx_ids == [tx.tx_id for tx in batch]
+
+
+def _forge(chain: Ledger, index: int, edit) -> Ledger:
+    """Apply ``edit`` to the value of one transaction of block ``index``, then
+    recompute its tx id, the payload and every later hash link, as a forger
+    who knows the format would."""
+    values = [[tx.to_value() for tx in block.transactions] for block in chain.blocks]
+    edit(values[index][0])
+    blocks = []
+    prev_hash = ZERO_HASH
+    for i, txs in enumerate(values):
+        for tv in txs:
+            tv["tx_id"] = _tx_digest(tv["kind"], tv["actor"], tv["logical_time"], tv["body"])
+        payload = canonicalize(txs)
+        payload_hash = digest(payload)
+        header = {"index": i, "prev_hash": prev_hash, "payload_hash": payload_hash}
+        block_hash = digest_value(header)
+        blocks.append(dumps(dict(header, block_hash=block_hash, transactions=txs)))
+        prev_hash = block_hash
+    return load_ledger("\n".join(blocks) + "\n")
+
+
+def _consent(clock: LogicalClock) -> Transaction:
+    body = {
+        "policy_id": "p1",
+        "user_id": "u",
+        "record_scope": "r1",
+        "purpose": "research",
+        "valid_from": 1,
+        "valid_until": 10,
+        "granted": True,
+    }
+    return build_transaction("ConsentUpdate", "consent-authority", clock.next(), body)
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda tv: tv.update(logical_time=str(tv["logical_time"])),
+        lambda tv: tv.update(logical_time=True),
+        lambda tv: tv.update(logical_time=float(tv["logical_time"])),
+        lambda tv: tv["body"].update(valid_from="1"),
+        lambda tv: tv["body"].update(valid_until=10.0),
+        lambda tv: tv.update(body=7),
+        lambda tv: tv.update(kind=["ConsentUpdate"]),
+    ],
+    ids=[
+        "str-logical-time",
+        "bool-logical-time",
+        "float-logical-time",
+        "str-valid-from",
+        "float-valid-until",
+        "int-body",
+        "list-kind",
+    ],
+)
+def test_mistyped_fields_are_schema_failures_at_their_block(edit):
+    chain = Ledger()
+    clock = LogicalClock()
+    chain.append_block([_registration(clock, "r1")])
+    chain.append_block([_consent(clock)])
+    forged = _forge(chain, 2, edit)
+    assert forged.verify_chain() == 2
+    assert verify_dump(dump_ledger(forged)) == 2
+
+
+def test_non_integer_block_index_is_corrupt():
+    chain = _chain_with_blocks(2)
+    block = chain.blocks[1]
+    block.index = True  # equal to 1, but not the integer 1
+    block.block_hash = digest_value(
+        {"index": True, "prev_hash": block.prev_hash, "payload_hash": block.payload_hash}
+    )
+    chain.blocks[2].prev_hash = block.block_hash
+    assert chain.verify_chain() == 1
+
+
+def test_non_integer_logical_time_is_rejected_on_build_and_append():
+    body = {"record_id": "r", "institution_id": "a", "commitment": "0" * 64}
+    with pytest.raises(TransactionValidationError):
+        build_transaction("DataRegistration", "a", True, body)
+    tx_id = _tx_digest("DataRegistration", "a", "1", body)
+    tx = Transaction(tx_id, "DataRegistration", "a", "1", body)
+    with pytest.raises(TransactionValidationError):
+        Ledger().append_block([tx])
+
+
 def test_dump_load_round_trip_is_byte_identical():
     chain = _chain_with_blocks(6)
     text = dump_ledger(chain)
@@ -238,6 +374,24 @@ def test_non_canonical_payload_bytes_are_rejected_even_with_matching_hashes():
     )
     assert loads(block.payload_bytes) == [tx.to_value() for tx in block.transactions]
     assert chain.verify_chain() == block.index
+
+
+def test_re_spaced_line_is_damage_at_its_block():
+    data = dump_ledger(_chain_with_blocks(3)).encode()
+    lines = data.split(b"\n")
+    # the demo-ledger cases live in test_tamper_sweep.py
+    respacings = [
+        lambda line: line.replace(b'"index":2,', b'"index": 2,'),
+        lambda line: line[:-1] + b' }',
+        lambda line: line.replace(b',"tx_id"', b', "tx_id"'),
+    ]
+    for respace in respacings:
+        tampered = lines[:2] + [respace(lines[2])] + lines[3:]
+        assert loads(tampered[2]) == loads(lines[2])
+        assert verify_dump(b"\n".join(tampered)) == 2, respace(lines[2])
+    # outside the payload bytes, re-spacing is damage already when loading
+    with pytest.raises(NotationParseError, match="block 2"):
+        load_ledger(b"\n".join(lines[:2] + [respacings[0](lines[2])] + lines[3:]))
 
 
 def test_dump_lines_split_on_newline_only():

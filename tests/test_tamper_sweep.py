@@ -1,34 +1,45 @@
-"""Single-bit flips of a saved ledger: every one must be caught on disk.
+"""Tampering with a saved ledger: every change must be caught on disk.
 
 A seeded sample of flips spread over every byte of the demo ``ledger.bx``
 (newlines included) and all 8 bits, plus the flips that once slipped through
 or crashed: a newline turned into a vertical tab, which ``str.splitlines``
 treats as a line break, and bit-7 flips, which leave a byte that is not UTF-8.
 Each must make ``verify-chain`` exit 1 and name the block whose line
-(terminating newline included) holds the flip.
+(terminating newline included) holds the flip.  Beyond single bits: lines
+re-spaced without changing their value, a forged transaction whose hashes
+were all recomputed, and damage in two places at once.
 """
 
 from __future__ import annotations
 
 import bisect
 import random
+import shutil
 
 import pytest
 
+from bxhf.canon import canonicalize, dumps, loads
 from bxhf.cli import main
+from bxhf.crypto import digest, digest_value
 from bxhf.harness import LEDGER_FILE
+from bxhf.ledger import _tx_digest, verify_dump
 
 SAMPLED_BYTES = 32  # each flipped on all 8 bits
 
 
 @pytest.fixture(scope="module")
-def ledger(tmp_path_factory):
+def world_dir(tmp_path_factory):
     base = tmp_path_factory.mktemp("sweep")
     scenario = base / "scenario.bx"
     out = base / "out"
     assert main(["init", "--out", str(scenario), "--profile", "demo"]) == 0
     assert main(["run", "--scenario", str(scenario), "--out", str(out)]) == 0
-    return (out / LEDGER_FILE).read_bytes()
+    return out
+
+
+@pytest.fixture(scope="module")
+def ledger(world_dir):
+    return (world_dir / LEDGER_FILE).read_bytes()
 
 
 def _flips(data: bytes) -> list[tuple[int, int]]:
@@ -64,3 +75,64 @@ def test_untampered_ledger_verifies(ledger, tmp_path, capsys):
     blocks = ledger.count(b"\n")
     assert main(["verify-chain", "--ledger", str(path)]) == 0
     assert capsys.readouterr().out == f"chain valid ({blocks} blocks)\n"
+
+
+def _verify_chain_cli(data: bytes, tmp_path, capsys) -> tuple[int, str]:
+    path = tmp_path / LEDGER_FILE
+    path.write_bytes(data)
+    capsys.readouterr()
+    rc = main(["verify-chain", "--ledger", str(path)])
+    return rc, capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "respace",
+    [
+        lambda line: b"{ " + line[1:],
+        lambda line: line + b" ",
+        lambda line: line.replace(b'"transactions":[', b'"transactions": [ ', 1),
+    ],
+    ids=["after-open-brace", "trailing-space", "inside-transactions"],
+)
+def test_re_spaced_line_is_rejected_at_its_block(ledger, respace, tmp_path, capsys):
+    lines = ledger.split(b"\n")
+    for block in (0, 3, len(lines) - 2):
+        tampered = list(lines)
+        tampered[block] = respace(lines[block])
+        assert loads(tampered[block]) == loads(lines[block])
+        data = b"\n".join(tampered)
+        assert verify_dump(data) == block
+        assert _verify_chain_cli(data, tmp_path, capsys) == (1, f"corrupt at block {block}\n")
+
+
+def test_string_logical_time_with_recomputed_hashes_is_corrupt(world_dir, ledger, tmp_path, capsys):
+    lines = ledger.split(b"\n")
+    last = len(lines) - 2
+    block = loads(lines[last])
+    tx = block["transactions"][0]
+    tx["logical_time"] = str(tx["logical_time"])
+    tx["tx_id"] = _tx_digest(tx["kind"], tx["actor"], tx["logical_time"], tx["body"])
+    block["payload_hash"] = digest(canonicalize(block["transactions"]))
+    block["block_hash"] = digest_value(
+        {key: block[key] for key in ("index", "prev_hash", "payload_hash")}
+    )
+    lines[last] = dumps(block).encode()
+    data = b"\n".join(lines)
+    assert verify_dump(data) == last
+    assert _verify_chain_cli(data, tmp_path, capsys) == (1, f"corrupt at block {last}\n")
+    world = tmp_path / "world"
+    shutil.copytree(world_dir, world)
+    (world / LEDGER_FILE).write_bytes(data)
+    assert main(["score", "--world", str(world)]) == 1
+    assert '"integrity": 0.0' in capsys.readouterr().out
+
+
+def test_earliest_of_two_damaged_blocks_is_named(ledger, tmp_path, capsys):
+    lines = ledger.split(b"\n")
+    hash_digit = len(b'{"block_hash":"')
+    flipped = bytes([lines[1][hash_digit] ^ 1])
+    lines[1] = lines[1][:hash_digit] + flipped + lines[1][hash_digit + 1 :]
+    lines[3] = lines[3][:-1]
+    data = b"\n".join(lines)
+    assert verify_dump(data) == 1
+    assert _verify_chain_cli(data, tmp_path, capsys) == (1, "corrupt at block 1\n")
