@@ -390,7 +390,11 @@ def parse(text: str):
 
 
 def loads(data: bytes | str):
-    """Parse canonical notation from bytes or text."""
+    """Parse canonical notation from bytes or text; bytes that are not
+    UTF-8 raise :class:`NotationParseError`."""
     if isinstance(data, (bytes, bytearray)):
-        data = bytes(data).decode("utf-8")
+        try:
+            data = bytes(data).decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise _error("invalid UTF-8", exc.start) from None
     return parse(data)

@@ -12,7 +12,7 @@ from pathlib import Path
 
 from . import canon, crypto, harness
 from .access import IntegrityAlarmError
-from .canon import NotationParseError
+from .canon import CanonicalizationError, NotationParseError
 from .explain import Explanation
 from .ledger import load_ledger, verify_dump
 from .scenario import ConfigError, demo_profile, rare_disease_profile, validate_config
@@ -175,43 +175,49 @@ def _cmd_score(args) -> int:
     return 0 if clean else 1
 
 
+def _explanation_lines(stored: bytes, prediction: bytes | None) -> list[str]:
+    explanation = Explanation.from_value(canon.loads(stored))
+    lines = []
+    if prediction is not None:
+        pred_value = canon.loads(prediction)
+        lines.append(
+            f"  prediction {pred_value['prediction']:+.6f}"
+            f" (margin {pred_value['margin']:+.6f})"
+        )
+    lines.append(f"  baseline {explanation.baseline_value:+.6f}")
+    for name, alpha in sorted(explanation.attributions.items(), key=lambda kv: -abs(kv[1])):
+        lines.append(f"  {name:<20} {alpha:+.6f}")
+    return lines
+
+
 def _cmd_explain(args) -> int:
     world = harness.load_world(args.world)
     if args.record not in world.record_owner:
         print(f"unknown record {args.record!r}", file=sys.stderr)
         return 2
-    tx_ids = world.decision_index.get(args.record, [])
-    if not tx_ids:
+    decisions = [
+        tx for tx in world.ledger.audit_trail(args.record) if tx.kind == "DecisionRecord"
+    ]
+    if not decisions:
         print(f"no decisions recorded for {args.record!r}")
         return 0
     status = 0
-    for tx_id in tx_ids:
-        tx = world.ledger.find_tx(tx_id)
-        stored = world.decision_artifacts.get(tx_id, {}).get("explanation")
-        print(f"decision {tx_id}")
+    for tx in decisions:
+        artifacts = world.decision_artifacts.get(tx.tx_id, {})
+        stored = artifacts.get("explanation")
+        print(f"decision {tx.tx_id}")
         if stored is None:
             print("  stored explanation missing")
             status = 1
             continue
-        bound = tx is not None and crypto.digest(stored) == tx.body["explanation_hash"]
         try:
-            explanation = Explanation.from_value(canon.loads(stored))
-        except (NotationParseError, KeyError, TypeError):
-            print("  stored explanation does not parse (tampered?)")
+            lines = _explanation_lines(stored, artifacts.get("prediction"))
+        except (KeyError, TypeError, ValueError):  # ValueError covers parse errors
+            print("  stored explanation or prediction does not parse (tampered?)")
             status = 1
             continue
-        prediction = world.decision_artifacts[tx_id].get("prediction")
-        if prediction is not None:
-            pred_value = canon.loads(prediction)
-            print(
-                f"  prediction {pred_value['prediction']:+.6f}"
-                f" (margin {pred_value['margin']:+.6f})"
-            )
-        print(f"  baseline {explanation.baseline_value:+.6f}")
-        for name, alpha in sorted(
-            explanation.attributions.items(), key=lambda kv: -abs(kv[1])
-        ):
-            print(f"  {name:<20} {alpha:+.6f}")
+        print("\n".join(lines))
+        bound = crypto.digest(stored) == tx.body.get("explanation_hash")
         print(f"  on-chain binding: {'ok' if bound else 'MISMATCH'}")
         if not bound:
             status = 1
@@ -285,6 +291,10 @@ def main(argv=None) -> int:
         return 2
     except NotationParseError as exc:
         print(f"file does not parse: {exc}", file=sys.stderr)
+        return 1
+    except CanonicalizationError as exc:
+        # a loaded value that cannot be printed canonically: a forged or damaged file
+        print(f"value cannot be printed: {exc}", file=sys.stderr)
         return 1
 
 

@@ -26,6 +26,7 @@ from .access import (
 from .explain import Explanation, explain_linear
 from .learning import (
     Dataset,
+    FeatureSpec,
     LinearModel,
     TrainConfig,
     apply_delta,
@@ -115,7 +116,6 @@ class WorldState:
     datasets: dict[str, Dataset]
     model: LinearModel | None = None
     decision_artifacts: dict[str, dict[str, bytes]] = field(default_factory=dict)
-    decision_index: dict[str, list[str]] = field(default_factory=dict)
     ground_truth_events: list[dict] = field(default_factory=list)
     unreadable_records: list[str] = field(default_factory=list)
     report: dict | None = None
@@ -230,14 +230,28 @@ def _train_config(config: ScenarioConfig) -> TrainConfig:
     )
 
 
-def run_workflow(world: WorldState, config: ScenarioConfig | None = None) -> dict:
-    """Drive the full scripted run and return the report value.
+def _derive_decision(
+    model: LinearModel, spec: FeatureSpec, features: dict, record_ref: str, input_commitment: str
+) -> tuple[dict, Explanation]:
+    """The prediction value and the explanation a decision on these features
+    binds: run to make a decision, and again to replay one."""
+    x = np.asarray([features[n] for n in spec.names], dtype=float)
+    margin, prediction = predict(model, x)
+    explanation = explain_linear(
+        model, spec, x, record_ref=record_ref, input_commitment=input_commitment
+    )
+    return {"margin": margin, "prediction": prediction}, explanation
+
+
+def run_workflow(world: WorldState) -> dict:
+    """Drive the full scripted run of ``world.config`` and return the report.
 
     Order: federated rounds (ModelUpdate txs, one block per round), scripted
     requests (one block each; permits additionally bind a DecisionRecord),
-    one validation pass on behalf of every institution, then scoring.
+    one validation pass on behalf of every institution, then
+    :func:`score_world`.
     """
-    cfg = config if config is not None else world.config
+    cfg = world.config
     spec = cfg.feature_spec
     tcfg = _train_config(cfg)
     link = cfg.train["link"]
@@ -288,11 +302,9 @@ def run_workflow(world: WorldState, config: ScenarioConfig | None = None) -> dic
             denied += 1
             continue
         rid = request["record_id"]
-        x = np.asarray([plaintext["features"][n] for n in spec.names], dtype=float)
-        margin, prediction = predict(model, x)
-        prediction_value = {"margin": margin, "prediction": prediction}
-        explanation = explain_linear(
-            model, spec, x, record_ref=rid, input_commitment=table[rid].commitment.digest
+        input_commitment = table[rid].commitment.digest
+        prediction_value, explanation = _derive_decision(
+            model, spec, plaintext["features"], rid, input_commitment
         )
         decision_tx = build_transaction(
             "DecisionRecord",
@@ -300,7 +312,7 @@ def run_workflow(world: WorldState, config: ScenarioConfig | None = None) -> dic
             world.clock.next(),
             {
                 "record_ref": rid,
-                "input_commitment": table[rid].commitment.digest,
+                "input_commitment": input_commitment,
                 "model_hash": model.param_hash(),
                 "prediction_hash": crypto.digest_value(prediction_value),
                 "explanation_hash": explanation.digest(),
@@ -312,7 +324,6 @@ def run_workflow(world: WorldState, config: ScenarioConfig | None = None) -> dic
             "explanation": canon.canonicalize(explanation.to_value()),
             "prediction": canon.canonicalize(prediction_value),
         }
-        world.decision_index.setdefault(rid, []).append(decision_tx.tx_id)
         decision_tx_ids.append(decision_tx.tx_id)
         permitted += 1
 
@@ -321,25 +332,6 @@ def run_workflow(world: WorldState, config: ScenarioConfig | None = None) -> dic
     # would need per-institution state, which the simulation does not keep.
     verdicts = {txid: verify_decision(world, txid) for txid in decision_tx_ids}
     mismatches = sorted(txid for txid, v in verdicts.items() if v != "valid")
-
-    weights = tuple(float(w) for w in cfg.trust["component_weights"])
-    sec = security_score(
-        SecurityInputs(
-            ledger=world.ledger,
-            record_table=table,
-            keys=world.keys,
-            ground_truth_accesses=len(world.ground_truth_events),
-            weights=weights,
-        )
-    )
-    trust = trust_objective(
-        model,
-        pooled,
-        spec,
-        sec,
-        penalty_weight=float(cfg.train["penalty_weight"]),
-        security_weight=float(cfg.trust["security_weight"]),
-    )
 
     report = {
         "steps": {
@@ -371,8 +363,7 @@ def run_workflow(world: WorldState, config: ScenarioConfig | None = None) -> dic
         "decision_count": permitted,
         "decision_tx_ids": decision_tx_ids,
         "model_hash": model.param_hash(),
-        "security": sec.to_value(),
-        "trust": trust.to_value(),
+        **score_world(world),
     }
     world.report = report
     return report
@@ -405,23 +396,20 @@ def verify_decision(world: WorldState, decision_tx_id: str) -> str:
     if world.model is None or world.model.param_hash() != body["model_hash"]:
         return "model"
 
-    spec = world.config.feature_spec
-    x = np.asarray([plaintext["features"][n] for n in spec.names], dtype=float)
-    margin, prediction = predict(world.model, x)
+    prediction_value, explanation = _derive_decision(
+        world.model, world.config.feature_spec, plaintext["features"], rid, body["input_commitment"]
+    )
     artifacts = world.decision_artifacts.get(decision_tx_id, {})
     stored_prediction = artifacts.get("prediction")
     if stored_prediction is None or crypto.digest(stored_prediction) != body["prediction_hash"]:
         return "prediction"
-    if crypto.digest_value({"margin": margin, "prediction": prediction}) != body["prediction_hash"]:
+    if crypto.digest_value(prediction_value) != body["prediction_hash"]:
         return "prediction"
 
     stored_explanation = artifacts.get("explanation")
     if stored_explanation is None or crypto.digest(stored_explanation) != body["explanation_hash"]:
         return "explanation"
-    rederived = explain_linear(
-        world.model, spec, x, record_ref=rid, input_commitment=body["input_commitment"]
-    )
-    if rederived.digest() != body["explanation_hash"]:
+    if explanation.digest() != body["explanation_hash"]:
         return "explanation"
     return "valid"
 
@@ -527,23 +515,33 @@ def save_world(world: WorldState, out_dir: str | Path) -> Path:
 def load_world(world_dir: str | Path) -> WorldState:
     """Rebuild a world from its saved files.
 
-    The ledger is loaded leniently (damaged lines dropped) and not verified
-    here, so a tampered dump can still be scored, and scoring verifies it
-    once; records whose seals no longer authenticate are listed in
-    ``unreadable_records`` and left out of the datasets.
+    The ledger is loaded leniently and not verified here: damaged lines are
+    dropped, and the damage travels with the ledger, so scoring verifies the
+    chain once and reports it.  Records whose seals no longer authenticate
+    are listed in ``unreadable_records`` and left out of the datasets.  A
+    ``world.bx`` that parses but is not shaped like a saved world raises
+    :class:`~bxhf.canon.NotationParseError`.
     """
     base = Path(world_dir)
     config = load_config((base / SCENARIO_FILE).read_text())
-    ledger, _ = load_ledger_lenient((base / LEDGER_FILE).read_bytes())
+    ledger = load_ledger_lenient((base / LEDGER_FILE).read_bytes())
     value = canon.loads((base / WORLD_FILE).read_bytes())
-
-    keys = crypto.KeyTable.from_value(value["keys"])
-    stores: dict[str, dict[str, SealedRecord]] = {inst: {} for inst in config.institution_ids}
-    record_owner: dict[str, str] = {}
-    for rid, rec_value in value["records"].items():
-        record = SealedRecord.from_value(rid, rec_value)
-        stores.setdefault(record.institution_id, {})[rid] = record
-        record_owner[rid] = record.institution_id
+    try:
+        keys = crypto.KeyTable.from_value(value["keys"])
+        stores: dict[str, dict[str, SealedRecord]] = {inst: {} for inst in config.institution_ids}
+        record_owner: dict[str, str] = {}
+        for rid, rec_value in value["records"].items():
+            record = SealedRecord.from_value(rid, rec_value)
+            stores.setdefault(record.institution_id, {})[rid] = record
+            record_owner[rid] = record.institution_id
+        model = LinearModel.from_value(value["model"]) if "model" in value else None
+        decision_artifacts = {
+            txid: {name: bytes(data) for name, data in artifacts.items()}
+            for txid, artifacts in value["decisions"].items()
+        }
+        events = [dict(e) for e in value["events"]]
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise canon.NotationParseError(f"{WORLD_FILE} is not a saved world: {exc!r}") from None
 
     registry = ConsentRegistry()
     for tx in ledger.iter_txs():
@@ -570,17 +568,6 @@ def load_world(world_dir: str | Path) -> WorldState:
         else:
             datasets[inst] = Dataset(np.zeros((0, spec.dim)), np.zeros(0), inst)
 
-    model = LinearModel.from_value(value["model"]) if "model" in value else None
-
-    decision_artifacts = {
-        txid: {name: bytes(data) for name, data in artifacts.items()}
-        for txid, artifacts in value["decisions"].items()
-    }
-    decision_index: dict[str, list[str]] = {}
-    for tx in ledger.iter_txs():
-        if tx.kind == "DecisionRecord":
-            decision_index.setdefault(tx.body["record_ref"], []).append(tx.tx_id)
-
     world = WorldState(
         config=config,
         ledger=ledger,
@@ -592,8 +579,7 @@ def load_world(world_dir: str | Path) -> WorldState:
         datasets=datasets,
         model=model,
         decision_artifacts=decision_artifacts,
-        decision_index=decision_index,
-        ground_truth_events=[dict(e) for e in value["events"]],
+        ground_truth_events=events,
         unreadable_records=unreadable,
     )
     report_path = base / REPORT_FILE

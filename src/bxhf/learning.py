@@ -152,7 +152,6 @@ class TrainConfig:
     learning_rate: float
     epochs: int
     penalty_weight: float = 0.0
-    seed: int = 0
 
     def __post_init__(self):
         if self.learning_rate <= 0:

@@ -188,9 +188,6 @@ class Block:
     # any byte-level tampering, re-spacing included, is visible.
     payload_bytes: bytes = field(repr=False, default=b"")
 
-    def header_value(self) -> dict:
-        return {"index": self.index, "prev_hash": self.prev_hash, "payload_hash": self.payload_hash}
-
     def to_value(self) -> dict:
         return {
             "index": self.index,
@@ -249,13 +246,20 @@ class Ledger:
     def __init__(self):
         self.blocks: list[Block] = [_make_block(0, ZERO_HASH, [], _GENESIS_PAYLOAD)]
         self._tx_index: dict[str, Transaction] = {}
+        # index of the first dump line that did not load; None when built in memory
+        self.damaged: int | None = None
 
     @classmethod
-    def from_blocks(cls, blocks: list[Block]) -> "Ledger":
-        """A ledger over already-built blocks (as loaded from a dump), unverified."""
+    def from_blocks(cls, blocks: list[Block], damaged: int | None = None) -> "Ledger":
+        """A ledger over already-built blocks (as loaded from a dump), unverified.
+
+        ``damaged`` is the index of the first dump line that did not load
+        (None if every line did); the damage travels with the ledger and
+        :meth:`verify_chain` reports it."""
         ledger = cls.__new__(cls)
         ledger.blocks = blocks
         ledger._tx_index = {tx.tx_id: tx for block in blocks for tx in block.transactions}
+        ledger.damaged = damaged
         return ledger
 
     def __len__(self) -> int:
@@ -319,9 +323,11 @@ class Ledger:
         transaction fails its schema (a non-integer index or logical time
         included) or is out of order, or when its payload bytes are not the
         canonical encoding of its transactions under their derived tx ids.
+        A loaded ledger is corrupt at its first damaged dump line when every
+        block before that line verifies; a ledger with no blocks at 0.
         """
         prev_time = 0
-        for i, block in enumerate(self.blocks):
+        for i, block in enumerate(self.blocks[: self.damaged]):
             if not _is_int(block.index) or block.index != i:
                 return i
             if digest(block.payload_bytes) != block.payload_hash:
@@ -352,35 +358,22 @@ class Ledger:
                 return i
             if any(tx.tx_id != tx_id for tx, tx_id in zip(block.transactions, tx_ids)):
                 return i
-        return None
+        return self.damaged if self.blocks else 0
 
     def audit_trail(self, record_id: str) -> list[Transaction]:
-        """All transactions referencing a record, in logical time order."""
-        trail = []
-        for tx in self.iter_txs():
-            refs = (
-                tx.body.get("record_id"),
-                tx.body.get("record_ref"),
-                tx.body.get("record_scope"),
-            )
-            if record_id in refs:
-                trail.append(tx)
-        return sorted(trail, key=lambda tx: tx.logical_time)
+        """All transactions referencing a record, in chain order.
 
-    def verify_decision_binding(self, decision_tx_id: str, explanation_value, prediction) -> str:
-        """Check an explanation/prediction pair against an on-chain decision record.
-
-        Returns ``"valid"``, or the mismatch kind: ``"explanation"``,
-        ``"prediction"``, or ``"unknown_tx"``.
+        On a chain that verifies this is logical-time order, which
+        :meth:`verify_chain` requires to increase strictly.  The chain is not
+        verified here, so transactions whose body is not a map are skipped.
         """
-        tx = self.find_tx(decision_tx_id)
-        if tx is None or tx.kind != "DecisionRecord":
-            return "unknown_tx"
-        if digest(canonicalize(explanation_value)) != tx.body["explanation_hash"]:
-            return "explanation"
-        if digest(canonicalize(prediction)) != tx.body["prediction_hash"]:
-            return "prediction"
-        return "valid"
+        return [
+            tx
+            for tx in self.iter_txs()
+            if isinstance(tx.body, dict)
+            and record_id
+            in (tx.body.get("record_id"), tx.body.get("record_ref"), tx.body.get("record_scope"))
+        ]
 
 
 def dump_ledger(ledger: Ledger) -> str:
@@ -452,31 +445,25 @@ def _parse_dump(data: bytes | str, skip_damaged: bool) -> tuple[list[Block], int
 def verify_dump(data: bytes | str) -> int | None:
     """Verify a ledger dump file, tolerating damaged lines.
 
-    This is :meth:`Ledger.verify_chain` on the blocks before the first
-    damaged line; when those verify, the damaged line itself is the first
-    corrupt index.  An empty dump is corrupt at block 0.
+    Parsing stops at the first damaged line, and :meth:`Ledger.verify_chain`
+    on the blocks before it gives the verdict: the earliest corrupt block, or
+    the damaged line itself when those verify.  An empty dump is corrupt at
+    block 0.
     """
-    blocks, damaged = _parse_dump(data, skip_damaged=False)
-    if blocks:
-        verdict = Ledger.from_blocks(blocks).verify_chain()
-        if verdict is not None:
-            return verdict
-    elif damaged is None:
-        return 0
-    return damaged
+    return Ledger.from_blocks(*_parse_dump(data, skip_damaged=False)).verify_chain()
 
 
-def load_ledger_lenient(data: bytes | str) -> tuple[Ledger, int | None]:
+def load_ledger_lenient(data: bytes | str) -> Ledger:
     """Load a possibly damaged dump for inspection, without verifying it.
 
     Damaged lines (see :func:`_parse_dump`; a line not canonical around its
-    payload is damage) are dropped from the returned chain; the second element is the index of
-    the first of them (None if every line parsed).  Payload bytes are the
-    file's own bytes.  Run :meth:`Ledger.verify_chain` on the result to check
-    integrity.
+    payload is damage) are dropped from the returned chain, and its
+    ``damaged`` attribute is the index of the first of them (None if every
+    line loaded).  Payload bytes are the file's own bytes.
+    :meth:`Ledger.verify_chain` on the result checks integrity and reports
+    that damage, exactly as :func:`verify_dump` does on the same bytes.
     """
-    blocks, damaged = _parse_dump(data, skip_damaged=True)
-    return Ledger.from_blocks(blocks), damaged
+    return Ledger.from_blocks(*_parse_dump(data, skip_damaged=True))
 
 
 def load_ledger(data: bytes | str) -> Ledger:

@@ -108,8 +108,8 @@ def _validate_features(value, path: str) -> FeatureSpec:
     return FeatureSpec(tuple(names), tuple(mu), tuple(int(s) for s in signs))
 
 
-def _record_ids_for(config: dict, institution_ids: list[str], m: int) -> tuple[list[str], dict[str, str]]:
-    """Resolve the full record-id set (and owners) before any data exists."""
+def _record_ids_for(config: dict, institution_ids: list[str], m: int) -> list[str]:
+    """Resolve the full record-id set before any data exists."""
     records = config["records"]
     mode = _require(records, "mode", str, "records")
     owners: dict[str, str] = {}
@@ -144,7 +144,7 @@ def _record_ids_for(config: dict, institution_ids: list[str], m: int) -> tuple[l
     for inst in institution_ids:
         if inst not in covered:
             _fail("records", f"institution {inst!r} has no records")
-    return sorted(owners), owners
+    return sorted(owners)
 
 
 def validate_config(value) -> ScenarioConfig:
@@ -160,7 +160,7 @@ def validate_config(value) -> ScenarioConfig:
     users = _require(value, "users", list, "scenario")
     user_ids = _id_list(users, "users")
     spec = _validate_features(_require(value, "features", dict, "scenario"), "features")
-    record_ids, _ = _record_ids_for(value, institution_ids, len(spec.names))
+    record_ids = _record_ids_for(value, institution_ids, len(spec.names))
     known_records = set(record_ids)
 
     policies: list[AccessPolicy] = []

@@ -96,6 +96,12 @@ def test_load_dump_byte_identity():
     assert canonicalize(loads(data)) == data
 
 
+def test_bytes_that_are_not_utf8_are_a_parse_error():
+    for bad in (b'"\xff"', b'{"k":"\xc3"}', b"[1,\x80]"):
+        with pytest.raises(NotationParseError, match="UTF-8"):
+            loads(bad)
+
+
 def test_round_trip_random_values():
     rng = np.random.default_rng(2024)
 

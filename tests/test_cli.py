@@ -147,6 +147,32 @@ def test_explain_prints_ranked_attributions(tmp_path, capsys):
     assert main(["explain", "--world", str(out), "--record", "st-marys-r009"]) == 0
 
 
+def test_explain_lists_every_decision_on_a_record_in_chain_order(tmp_path, capsys):
+    scenario = tmp_path / "scenario.bx"
+    out = tmp_path / "out"
+    assert main(["init", "--out", str(scenario), "--profile", "demo"]) == 0
+    value = canon.parse(scenario.read_text())
+    # dr-tanaka's wildcard treatment grant covers lakeside records
+    value["requests"].append(
+        {"user_id": "dr-tanaka", "record_id": "lakeside-r003", "purpose": "treatment"}
+    )
+    scenario.write_text(canon.dumps_pretty(value))
+    assert main(["run", "--scenario", str(scenario), "--out", str(out)]) == 0
+    on_chain = [
+        tx["tx_id"]
+        for line in (out / LEDGER_FILE).read_text().splitlines()
+        for tx in canon.parse(line)["transactions"]
+        if tx["kind"] == "DecisionRecord" and tx["body"]["record_ref"] == "lakeside-r003"
+    ]
+    assert len(on_chain) == 2
+    capsys.readouterr()
+    assert main(["explain", "--world", str(out), "--record", "lakeside-r003"]) == 0
+    stdout = capsys.readouterr().out
+    listed = [line.split()[1] for line in stdout.splitlines() if line.startswith("decision ")]
+    assert listed == on_chain
+    assert stdout.count("on-chain binding: ok") == 2
+
+
 def test_usage_errors_exit_two(tmp_path, capsys):
     out = _init_and_run(tmp_path)
     cases = [

@@ -218,11 +218,17 @@ def test_tampered_fetch_alarms_after_logging_the_permit():
     config.raw["requests"] = [
         {"user_id": "dr-tanaka", "record_id": target, "purpose": "treatment"}
     ]
+    world.config = validate_config(config.raw)
     before = world.ledger.count_kind("AccessDecision")
     with pytest.raises(IntegrityAlarmError) as err:
-        run_workflow(world, validate_config(config.raw))
+        run_workflow(world)
     assert target in str(err.value)
     assert world.ledger.count_kind("AccessDecision") == before + 1
+
+
+def test_run_report_scores_are_score_world():
+    world, report = _ran()
+    assert {key: report[key] for key in ("security", "trust")} == score_world(world)
 
 
 def test_score_world_reflects_tampering():

@@ -357,10 +357,10 @@ def test_load_ledger_lenient_skips_damage_but_reports_it():
     chain = _chain_with_blocks(3)
     lines = dump_ledger(chain).splitlines()
     lines[1] = "not a block"
-    loaded, verdict = load_ledger_lenient("\n".join(lines))
-    assert verdict == 1
+    loaded = load_ledger_lenient("\n".join(lines))
+    assert loaded.damaged == 1
     assert len(loaded.blocks) == 3  # damaged line dropped
-    assert loaded.verify_chain() is not None
+    assert loaded.verify_chain() == 1
 
 
 def test_non_canonical_payload_bytes_are_rejected_even_with_matching_hashes():
@@ -407,8 +407,8 @@ def test_undecodable_line_is_damage_at_its_block():
     third_line = data.index(b"\n", data.index(b"\n") + 1) + 1
     data[third_line + 5] ^= 0x80
     assert verify_dump(bytes(data)) == 2
-    loaded, damaged = load_ledger_lenient(bytes(data))
-    assert damaged == 2 and len(loaded.blocks) == 3
+    loaded = load_ledger_lenient(bytes(data))
+    assert loaded.damaged == 2 and len(loaded.blocks) == 3
     with pytest.raises(NotationParseError, match="block 2"):
         load_ledger(bytes(data))
 
@@ -428,9 +428,24 @@ def test_lenient_load_reports_damage_but_does_not_verify():
     forged["block_hash"] = "0" * 64
     lines[1] = dumps(forged)
     text = "\n".join(lines)
-    loaded, damaged = load_ledger_lenient(text)
-    assert damaged is None and len(loaded) == 3
+    loaded = load_ledger_lenient(text)
+    assert loaded.damaged is None and len(loaded) == 3
     assert loaded.verify_chain() == verify_dump(text) == 1
+
+
+def test_damage_index_is_the_verdict_when_the_blocks_before_it_verify():
+    blocks = _chain_with_blocks(4).blocks
+    for k in range(len(blocks) + 1):
+        assert Ledger.from_blocks(blocks[:k], damaged=k).verify_chain() == k
+    # a lenient load keeps the blocks after the damaged line; they are not reached
+    assert Ledger.from_blocks(blocks[:2] + blocks[3:], damaged=2).verify_chain() == 2
+    assert Ledger.from_blocks(blocks).verify_chain() is None
+    assert Ledger.from_blocks([]).verify_chain() == 0
+    assert Ledger().damaged is None
+
+    forged = _chain_with_blocks(4).blocks
+    forged[1].block_hash = "0" * 64
+    assert Ledger.from_blocks(forged[:3], damaged=3).verify_chain() == 1
 
 
 def test_audit_trail_in_time_order():
@@ -465,36 +480,6 @@ def test_audit_trail_matches_consent_scope_field():
     )
     chain.append_block([consent])
     assert [tx.tx_id for tx in chain.audit_trail("rec-9")] == [consent.tx_id]
-
-
-def test_decision_binding_detects_each_mismatch():
-    chain = Ledger()
-    clock = LogicalClock()
-    explanation = {"attributions": {"hr": 0.5}, "baseline_value": 0.1}
-    prediction = {"margin": 0.6, "prediction": 0.64}
-    tx = build_transaction(
-        "DecisionRecord",
-        "dr-x",
-        clock.next(),
-        {
-            "record_ref": "rec-1",
-            "input_commitment": "1" * 64,
-            "model_hash": "2" * 64,
-            "prediction_hash": digest(canonicalize(prediction)),
-            "explanation_hash": digest(canonicalize(explanation)),
-        },
-    )
-    chain.append_block([tx])
-    assert chain.verify_decision_binding(tx.tx_id, explanation, prediction) == "valid"
-    assert (
-        chain.verify_decision_binding(tx.tx_id, {"tampered": True}, prediction)
-        == "explanation"
-    )
-    assert (
-        chain.verify_decision_binding(tx.tx_id, explanation, {"margin": 0.0})
-        == "prediction"
-    )
-    assert chain.verify_decision_binding("f" * 64, explanation, prediction) == "unknown_tx"
 
 
 def test_transactions_are_immutable():

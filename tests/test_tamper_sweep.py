@@ -8,6 +8,11 @@ Each must make ``verify-chain`` exit 1 and name the block whose line
 (terminating newline included) holds the flip.  Beyond single bits: lines
 re-spaced without changing their value, a forged transaction whose hashes
 were all recomputed, and damage in two places at once.
+
+``score`` must agree with ``verify-chain`` on a damaged ledger, ``audit``
+(which does not verify) must print no traceback for a forged one, and a
+seeded sample of flips of the demo ``world.bx`` must give every reading
+command an exit code, never a traceback.
 """
 
 from __future__ import annotations
@@ -18,10 +23,10 @@ import shutil
 
 import pytest
 
-from bxhf.canon import canonicalize, dumps, loads
+from bxhf.canon import canonicalize, dumps, dumps_pretty, loads, parse
 from bxhf.cli import main
 from bxhf.crypto import digest, digest_value
-from bxhf.harness import LEDGER_FILE
+from bxhf.harness import LEDGER_FILE, REPORT_FILE, WORLD_FILE
 from bxhf.ledger import _tx_digest, verify_dump
 
 SAMPLED_BYTES = 32  # each flipped on all 8 bits
@@ -136,3 +141,100 @@ def test_earliest_of_two_damaged_blocks_is_named(ledger, tmp_path, capsys):
     data = b"\n".join(lines)
     assert verify_dump(data) == 1
     assert _verify_chain_cli(data, tmp_path, capsys) == (1, "corrupt at block 1\n")
+
+
+def test_score_fails_integrity_on_a_ledger_verify_chain_calls_corrupt(tmp_path, capsys):
+    scenario = tmp_path / "scenario.bx"
+    out = tmp_path / "out"
+    assert main(["init", "--out", str(scenario), "--profile", "demo"]) == 0
+    value = parse(scenario.read_text())
+    value["requests"] = []  # no access decisions, so auditability cannot show the loss
+    scenario.write_text(dumps_pretty(value))
+    assert main(["run", "--scenario", str(scenario), "--out", str(out)]) == 0
+    path = out / LEDGER_FILE
+    data = path.read_bytes()
+    last = data.count(b"\n") - 1
+    path.write_bytes(data[:-2] + b"\n")  # the last line loses its closing brace
+    capsys.readouterr()
+    assert main(["verify-chain", "--ledger", str(path)]) == 1
+    assert capsys.readouterr().out == f"corrupt at block {last}\n" == "corrupt at block 8\n"
+    assert main(["score", "--world", str(out)]) == 1
+    assert '"integrity": 0.0' in capsys.readouterr().out
+
+
+def _forge_last_block(ledger: bytes, edit) -> tuple[bytes, str]:
+    """The demo ledger with its last block's first transaction edited (no
+    hash fixed), and the record that transaction referenced."""
+    lines = ledger.split(b"\n")
+    block = loads(lines[-2])
+    tx = block["transactions"][0]
+    record = tx["body"]["record_id"]
+    lines[-2] = edit(lines[-2], block, tx)
+    return b"\n".join(lines), record
+
+
+def _body_seven(line, block, tx):
+    tx["body"] = 7
+    return dumps(block).encode()
+
+
+def _string_logical_time(line, block, tx):
+    tx["logical_time"] = "x"
+    return dumps(block).encode()
+
+
+def _lone_surrogate_purpose(line, block, tx):
+    purpose = f'"purpose":"{tx["body"]["purpose"]}"'.encode()
+    assert line.count(purpose) == 1
+    return line.replace(purpose, b'"purpose":"\\ud800"')
+
+
+@pytest.mark.parametrize(
+    "edit, rc",
+    [(_body_seven, 0), (_string_logical_time, 0), (_lone_surrogate_purpose, 1)],
+    ids=["body-not-a-map", "string-logical-time", "lone-surrogate"],
+)
+def test_audit_of_a_forged_ledger_exits_without_a_traceback(ledger, edit, rc, tmp_path, capsys):
+    data, record = _forge_last_block(ledger, edit)
+    path = tmp_path / LEDGER_FILE
+    path.write_bytes(data)
+    capsys.readouterr()
+    assert main(["audit", "--ledger", str(path), "--record", record]) == rc
+    printed = [loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert printed and all(record in str(tx["body"]) for tx in printed)
+    times = [tx["logical_time"] for tx in printed]
+    if edit is _string_logical_time:
+        assert times[-1] == "x" and times[:-1] == sorted(times[:-1])  # chain order
+
+
+WORLD_FLIPS = 96
+
+
+def test_world_flips_give_exit_codes_not_tracebacks(world_dir, tmp_path, capsys):
+    """Each command that reads ``world.bx`` returns 0, 1 or 2 on a flipped copy.
+
+    Exit 0 is still possible for some flips: nothing binds the ``events``
+    list to the chain, ``score`` does not read the stored decision artifacts,
+    and the lenient notation reads an upper-case hex digit in a byte string
+    as the same byte.  This test asks only for an exit code.
+    """
+    world = tmp_path / "world"
+    shutil.copytree(world_dir, world)
+    data = (world_dir / WORLD_FILE).read_bytes()
+    decision = loads((world_dir / REPORT_FILE).read_bytes())["decision_tx_ids"][0]
+    commands = [
+        ["score", "--world", str(world)],
+        ["verify-decision", "--world", str(world), "--decision", decision],
+        ["explain", "--world", str(world), "--record", "lakeside-r003"],
+    ]
+    rng = random.Random(20251018)
+    codes = set()
+    for _ in range(WORLD_FLIPS):
+        offset, bit = rng.randrange(len(data)), rng.randrange(8)
+        tampered = bytearray(data)
+        tampered[offset] ^= 1 << bit
+        (world / WORLD_FILE).write_bytes(bytes(tampered))
+        for argv in commands:
+            codes.add(main(argv))
+    capsys.readouterr()
+    assert codes <= {0, 1, 2} and 1 in codes
