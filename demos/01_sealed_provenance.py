@@ -56,7 +56,7 @@ registered = {
 }
 print("\nrecord checks against on-chain commitments:")
 for rid, rec in sorted(records.items()):
-    print(f"  {rid}: {verify_record(rec, keys, registered[rid])}")
+    print(f"  {rid}: {verify_record(rec, keys, registered[rid]) is not None}")
 
 # --- flip one bit in a block payload: the chain breaks exactly there ---
 block = ledger.blocks[1]
@@ -81,7 +81,8 @@ records["mercy-r002"] = dataclasses.replace(
 )
 print("\nafter flipping one bit in mercy-r002's stored ciphertext:")
 print("  chain verdict:", ledger.verify_chain(), "(the chain is fine)")
-print("  record check:", verify_record(records["mercy-r002"], keys, registered["mercy-r002"]))
+checked = verify_record(records["mercy-r002"], keys, registered["mercy-r002"])
+print("  record check:", checked is not None)
 
 # --- the dump is one canonical line per block; reload is byte-identical ---
 text = dump_ledger(ledger)

@@ -21,7 +21,7 @@ rng = np.random.default_rng(21)
 # --- one institution, two sealed records ---
 keys = crypto.KeyTable()
 keys.register("k-stjude", rng.bytes(crypto.KEY_LEN))
-table, owner = {}, {}
+table = {}
 for rid in ("stjude-r001", "stjude-r002"):
     value = {"record_id": rid, "features": {"glucose": float(rng.uniform(70, 180))},
              "outcome": 0.0}
@@ -30,7 +30,6 @@ for rid in ("stjude-r001", "stjude-r002"):
         crypto.seal(value, "k-stjude", keys, rng.bytes(crypto.NONCE_LEN)),
         crypto.commit(value, rng.bytes(crypto.SALT_LEN)),
     )
-    owner[rid] = "stjude"
 
 ledger = Ledger()
 clock = LogicalClock()
@@ -51,9 +50,7 @@ print("granted:", grant.policy_id, grant.record_scope, grant.purpose)
 
 
 def attempt(user, rid, purpose):
-    plaintext, tx = gated_fetch(
-        ledger, keys, registry, table, owner, user, rid, purpose, clock
-    )
+    plaintext, tx = gated_fetch(ledger, keys, registry, table, user, rid, purpose, clock)
     verdict = "PERMIT" if plaintext is not None else "DENY"
     print(f"  {user:>9} -> {rid} purpose={purpose:<10} {verdict:<7} reason={tx.body['reason']}")
     return plaintext

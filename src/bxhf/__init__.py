@@ -102,7 +102,6 @@ from .scenario import (
     validate_config,
 )
 from .trust import (
-    SecurityInputs,
     SecurityReport,
     TrustReport,
     security_score,

@@ -101,16 +101,17 @@ def evaluate_access(
     record_id: str,
     purpose: str,
     logical_time: int,
-    record_owner: dict[str, str] | None = None,
+    owner: str | None = None,
 ) -> tuple[bool, str]:
     """The authorization predicate: permit iff some policy grants the request.
 
     ``policies`` is any iterable of effective :class:`AccessPolicy` (latest
-    per policy id already applied).  Returns ``(True, "granted")`` or
-    ``(False, reason)`` where the reason is the nearest miss under the fixed
-    precedence purpose_mismatch > expired > revoked > no_policy.
+    per policy id already applied).  ``owner`` is the institution holding the
+    record; without it, no institution-wide scope matches.  Returns
+    ``(True, "granted")`` or ``(False, reason)`` where the reason is the
+    nearest miss under the fixed precedence purpose_mismatch > expired >
+    revoked > no_policy.
     """
-    owner = (record_owner or {}).get(record_id)
     reasons = set()
     for policy in policies:
         if policy.user_id != user_id:
@@ -151,11 +152,9 @@ class ConsentRegistry:
         record_id: str,
         purpose: str,
         logical_time: int,
-        record_owner: dict[str, str] | None = None,
+        owner: str | None = None,
     ) -> tuple[bool, str]:
-        return evaluate_access(
-            self.effective(), user_id, record_id, purpose, logical_time, record_owner
-        )
+        return evaluate_access(self.effective(), user_id, record_id, purpose, logical_time, owner)
 
 
 def update_consent(
@@ -184,7 +183,6 @@ def gated_fetch(
     keys: crypto.KeyTable,
     registry: ConsentRegistry,
     record_table: dict,
-    record_owner: dict[str, str],
     user_id: str,
     record_id: str,
     purpose: str,
@@ -193,16 +191,21 @@ def gated_fetch(
 ):
     """Fetch a registered record through the consent gate.
 
+    ``record_table`` maps record ids to sealed records; each record's
+    ``institution_id`` is the owner institution-wide scopes match against.
     Returns ``(plaintext_or_None, decision_tx)``.  Every call produces
     exactly one access decision transaction; a permit additionally unseals
     and returns the record.  An authorized fetch whose stored bytes fail
     authentication raises :class:`IntegrityAlarmError` after the decision
     is recorded.
     """
-    if record_id not in record_table:
+    sealed_record = record_table.get(record_id)
+    if sealed_record is None:
         raise UnknownRecordError(record_id)
     when = clock.next()
-    allowed, reason = registry.evaluate(user_id, record_id, purpose, when, record_owner)
+    allowed, reason = registry.evaluate(
+        user_id, record_id, purpose, when, sealed_record.institution_id
+    )
     tx = build_transaction(
         "AccessDecision",
         user_id,
@@ -221,7 +224,6 @@ def gated_fetch(
         batch.append(tx)
     if not allowed:
         return None, tx
-    sealed_record = record_table[record_id]
     try:
         plaintext = crypto.unseal(sealed_record.sealed, keys)
     except crypto.AuthenticationError as exc:

@@ -192,7 +192,7 @@ def _explanation_lines(stored: bytes, prediction: bytes | None) -> list[str]:
 
 def _cmd_explain(args) -> int:
     world = harness.load_world(args.world)
-    if args.record not in world.record_owner:
+    if args.record not in world.records:
         print(f"unknown record {args.record!r}", file=sys.stderr)
         return 2
     decisions = [

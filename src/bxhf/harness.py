@@ -42,10 +42,11 @@ from .ledger import (
     Transaction,
     build_transaction,
     dump_ledger,
+    has_valid_body,
     load_ledger_lenient,
 )
 from .scenario import ScenarioConfig, generate_records, load_config, validate_config
-from .trust import SecurityInputs, security_score, trust_objective
+from .trust import security_score, trust_objective, verify_record
 
 __all__ = [
     "SealedRecord",
@@ -110,22 +111,18 @@ class WorldState:
     ledger: Ledger
     clock: LogicalClock
     keys: crypto.KeyTable
-    stores: dict[str, dict[str, SealedRecord]]
-    record_owner: dict[str, str]
+    records: dict[str, SealedRecord]
     registry: ConsentRegistry
     datasets: dict[str, Dataset]
     model: LinearModel | None = None
     decision_artifacts: dict[str, dict[str, bytes]] = field(default_factory=dict)
-    ground_truth_events: list[dict] = field(default_factory=list)
     unreadable_records: list[str] = field(default_factory=list)
     report: dict | None = None
 
     @property
     def record_table(self) -> dict[str, SealedRecord]:
-        table: dict[str, SealedRecord] = {}
-        for store in self.stores.values():
-            table.update(store)
-        return table
+        """``records``, under the name ``perfbench/tracing.py`` binds."""
+        return self.records
 
     def pooled_dataset(self) -> Dataset:
         xs = [self.datasets[inst].X for inst in self.config.institution_ids]
@@ -152,30 +149,28 @@ def build_scenario(config: ScenarioConfig | dict) -> WorldState:
     for inst in config.institution_ids:
         keys.register(_key_id(inst), rng.bytes(crypto.KEY_LEN))
 
-    records = generate_records(config, rng)
+    generated = generate_records(config, rng)
 
     ledger = Ledger()
     clock = LogicalClock()
-    stores: dict[str, dict[str, SealedRecord]] = {inst: {} for inst in config.institution_ids}
-    record_owner: dict[str, str] = {}
+    records: dict[str, SealedRecord] = {}
     rows: dict[str, list[tuple[np.ndarray, float]]] = {inst: [] for inst in config.institution_ids}
 
     spec = config.feature_spec
     for inst in config.institution_ids:
         batch: list[Transaction] = []
-        for rec in (r for r in records if r.institution_id == inst):
+        for rec in (r for r in generated if r.institution_id == inst):
             payload = rec.payload()
             salt = rng.bytes(crypto.SALT_LEN)
             commitment = crypto.commit(payload, salt)
             nonce = rng.bytes(crypto.NONCE_LEN)
             sealed = crypto.seal(payload, _key_id(inst), keys, nonce)
-            stores[inst][rec.record_id] = SealedRecord(
+            records[rec.record_id] = SealedRecord(
                 record_id=rec.record_id,
                 institution_id=inst,
                 sealed=sealed,
                 commitment=commitment,
             )
-            record_owner[rec.record_id] = inst
             rows[inst].append(
                 (np.asarray([rec.features[n] for n in spec.names], dtype=float), rec.outcome)
             )
@@ -214,8 +209,7 @@ def build_scenario(config: ScenarioConfig | dict) -> WorldState:
         ledger=ledger,
         clock=clock,
         keys=keys,
-        stores=stores,
-        record_owner=record_owner,
+        records=records,
         registry=registry,
         datasets=datasets,
     )
@@ -275,9 +269,8 @@ def run_workflow(world: WorldState) -> dict:
     permitted = 0
     denied = 0
     decision_tx_ids: list[str] = []
-    table = world.record_table
+    table = world.records
     for request in cfg.requests:
-        world.ground_truth_events.append(dict(request))
         batch = []
         try:
             plaintext, _ = gated_fetch(
@@ -285,7 +278,6 @@ def run_workflow(world: WorldState) -> dict:
                 world.keys,
                 world.registry,
                 table,
-                world.record_owner,
                 request["user_id"],
                 request["record_id"],
                 request["purpose"],
@@ -374,22 +366,19 @@ def verify_decision(world: WorldState, decision_tx_id: str) -> str:
 
     Returns ``"valid"`` or the first mismatch found, checked in dependency
     order: ``"input"``, ``"model"``, ``"prediction"``, ``"explanation"``.
+    The chain is not verified here, so a decision whose body fails its
+    schema is an ``"input"`` mismatch.
     """
     tx = world.ledger.find_tx(decision_tx_id)
     if tx is None or tx.kind != "DecisionRecord":
         raise UnknownDecisionError(decision_tx_id)
+    if not has_valid_body(tx):
+        return "input"
     body = tx.body
     rid = body["record_ref"]
-    record = world.record_table.get(rid)
-    if record is None:
-        return "input"
-    try:
-        plain = crypto.unseal_bytes(record.sealed, world.keys)
-    except (crypto.AuthenticationError, crypto.UnknownKeyError):
-        return "input"
-    if not record.commitment.matches(plain):
-        return "input"
-    if record.commitment.digest != body["input_commitment"]:
+    record = world.records.get(rid)
+    plain = None if record is None else verify_record(record, world.keys, body["input_commitment"])
+    if plain is None:
         return "input"
     plaintext = canon.loads(plain)
 
@@ -439,10 +428,9 @@ def tamper(world: WorldState, target: tuple, offset: int) -> WorldState:
             raise TamperTargetError(f"no block {key!r}") from None
         block.payload_bytes = flip_bit(block.payload_bytes, offset, f"block {key}")
     elif kind == "record":
-        owner = world.record_owner.get(key)
-        if owner is None:
+        record = world.records.get(key)
+        if record is None:
             raise TamperTargetError(f"no record {key!r}")
-        record = world.stores[owner][key]
         record.sealed = replace(
             record.sealed,
             ciphertext=flip_bit(record.sealed.ciphertext, offset, f"record {key}"),
@@ -463,13 +451,7 @@ def score_world(world: WorldState) -> dict:
     """Security components (and, model permitting, the trust objective)."""
     weights = tuple(float(w) for w in world.config.trust["component_weights"])
     sec = security_score(
-        SecurityInputs(
-            ledger=world.ledger,
-            record_table=world.record_table,
-            keys=world.keys,
-            ground_truth_accesses=len(world.ground_truth_events),
-            weights=weights,
-        )
+        world.ledger, world.records, world.keys, len(world.config.requests), weights
     )
     result = {"security": sec.to_value()}
     if world.model is not None and any(len(d) for d in world.datasets.values()):
@@ -489,9 +471,8 @@ def score_world(world: WorldState) -> dict:
 
 def world_value(world: WorldState) -> dict:
     value = {
-        "events": [dict(e) for e in world.ground_truth_events],
         "keys": world.keys.to_value(),
-        "records": {rid: rec.to_value() for rid, rec in world.record_table.items()},
+        "records": {rid: rec.to_value() for rid, rec in world.records.items()},
         "decisions": {
             txid: dict(artifacts) for txid, artifacts in world.decision_artifacts.items()
         },
@@ -515,71 +496,67 @@ def save_world(world: WorldState, out_dir: str | Path) -> Path:
 def load_world(world_dir: str | Path) -> WorldState:
     """Rebuild a world from its saved files.
 
-    The ledger is loaded leniently and not verified here: damaged lines are
-    dropped, and the damage travels with the ledger, so scoring verifies the
-    chain once and reports it.  Records whose seals no longer authenticate
-    are listed in ``unreadable_records`` and left out of the datasets.  A
-    ``world.bx`` that parses but is not shaped like a saved world raises
+    ``world.bx`` holds the keys, the sealed records, the stored decision
+    artifacts and the model; the scripted requests are read from the
+    scenario.  The ledger is loaded leniently and not verified here: damaged
+    lines are dropped, and the damage travels with the ledger, so scoring
+    verifies the chain once and reports it.  Consent updates whose body
+    fails its schema are not applied.  Each institution's dataset holds its
+    readable records in sorted record-id order; records whose seals no
+    longer authenticate are listed in ``unreadable_records`` and left out.
+    A ``world.bx`` that parses but is not shaped like a saved world raises
     :class:`~bxhf.canon.NotationParseError`.
     """
     base = Path(world_dir)
     config = load_config((base / SCENARIO_FILE).read_text())
     ledger = load_ledger_lenient((base / LEDGER_FILE).read_bytes())
     value = canon.loads((base / WORLD_FILE).read_bytes())
+    spec = config.feature_spec
+    unreadable: list[str] = []
+    rows: dict[str, tuple[list, list]] = {inst: ([], []) for inst in config.institution_ids}
     try:
         keys = crypto.KeyTable.from_value(value["keys"])
-        stores: dict[str, dict[str, SealedRecord]] = {inst: {} for inst in config.institution_ids}
-        record_owner: dict[str, str] = {}
-        for rid, rec_value in value["records"].items():
-            record = SealedRecord.from_value(rid, rec_value)
-            stores.setdefault(record.institution_id, {})[rid] = record
-            record_owner[rid] = record.institution_id
+        records = {
+            rid: SealedRecord.from_value(rid, rec_value)
+            for rid, rec_value in value["records"].items()
+        }
         model = LinearModel.from_value(value["model"]) if "model" in value else None
         decision_artifacts = {
             txid: {name: bytes(data) for name, data in artifacts.items()}
             for txid, artifacts in value["decisions"].items()
         }
-        events = [dict(e) for e in value["events"]]
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
-        raise canon.NotationParseError(f"{WORLD_FILE} is not a saved world: {exc!r}") from None
-
-    registry = ConsentRegistry()
-    for tx in ledger.iter_txs():
-        if tx.kind == "ConsentUpdate":
-            registry.apply(AccessPolicy.from_value(tx.body))
-
-    spec = config.feature_spec
-    unreadable: list[str] = []
-    datasets: dict[str, Dataset] = {}
-    for inst in sorted(stores):
-        xs, ys = [], []
-        for rid in sorted(stores[inst]):
+        for rid in sorted(records):
             try:
-                plaintext = crypto.unseal(stores[inst][rid].sealed, keys)
+                plaintext = crypto.unseal(records[rid].sealed, keys)
             except (crypto.AuthenticationError, crypto.UnknownKeyError):
                 unreadable.append(rid)
                 continue
+            xs, ys = rows.setdefault(records[rid].institution_id, ([], []))
             xs.append([plaintext["features"][n] for n in spec.names])
             ys.append(plaintext["outcome"])
-        if xs:
-            datasets[inst] = Dataset(
-                np.asarray(xs, dtype=float), np.asarray(ys, dtype=float), inst
-            )
-        else:
-            datasets[inst] = Dataset(np.zeros((0, spec.dim)), np.zeros(0), inst)
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise canon.NotationParseError(f"{WORLD_FILE} is not a saved world: {exc!r}") from None
+    # the reshape keeps the feature width when no row is readable
+    datasets = {
+        inst: Dataset(np.reshape(xs, (-1, spec.dim)), ys, inst)
+        for inst, (xs, ys) in rows.items()
+    }
+
+    registry = ConsentRegistry()
+    for tx in ledger.iter_txs():
+        if tx.kind == "ConsentUpdate" and has_valid_body(tx):
+            registry.apply(AccessPolicy.from_value(tx.body))
 
     world = WorldState(
         config=config,
         ledger=ledger,
         clock=LogicalClock(ledger.max_logical_time() + 1),
         keys=keys,
-        stores=stores,
-        record_owner=record_owner,
+        records=records,
         registry=registry,
         datasets=datasets,
         model=model,
         decision_artifacts=decision_artifacts,
-        ground_truth_events=events,
         unreadable_records=unreadable,
     )
     report_path = base / REPORT_FILE

@@ -29,6 +29,7 @@ __all__ = [
     "TX_KINDS",
     "build_transaction",
     "dump_ledger",
+    "has_valid_body",
     "load_ledger",
     "load_ledger_lenient",
     "verify_dump",
@@ -136,6 +137,17 @@ class Transaction:
             "logical_time": self.logical_time,
             "body": self.body,
         }
+
+
+def has_valid_body(tx: Transaction) -> bool:
+    """Does the transaction's kind and body pass its schema?  Readers of a
+    leniently loaded, unverified ledger use this to skip what
+    :meth:`Ledger.verify_chain` would call corrupt."""
+    try:
+        _validate_body(tx.kind, tx.body)
+    except TransactionValidationError:
+        return False
+    return True
 
 
 def _tx_digest(kind: str, actor: str, logical_time: int, body: dict) -> str:
@@ -343,9 +355,7 @@ class Ledger:
                 if not block.transactions:
                     return i
             for tx in block.transactions:
-                try:
-                    _validate_body(tx.kind, tx.body)
-                except TransactionValidationError:
+                if not has_valid_body(tx):
                     return i
                 if not _is_int(tx.logical_time) or tx.logical_time <= prev_time:
                     return i

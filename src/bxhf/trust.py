@@ -1,12 +1,13 @@
 """Ledger-derived security scoring and the joint trust objective.
 
-The security score aggregates three measurable fractions of ledger state:
+The security score is a weighted sum of three measurable fractions of
+ledger state:
 
 * integrity: chain validity gating the fraction of registered records whose
   stored sealed bytes still authenticate and whose decrypted bytes, salted,
   reproduce their on-chain commitment digest,
 * provenance: the fraction of held records with a registration transaction,
-* auditability: on-chain access decisions per ground-truth access event,
+* auditability: on-chain access decisions per scripted access request,
   capped at one.
 
 The trust objective couples model quality to that score:
@@ -28,10 +29,9 @@ from dataclasses import dataclass
 
 from . import crypto
 from .learning import Dataset, FeatureSpec, LinearModel, loss, mean_sign_violation
-from .ledger import Ledger
+from .ledger import Ledger, has_valid_body
 
 __all__ = [
-    "SecurityInputs",
     "SecurityReport",
     "TrustReport",
     "security_score",
@@ -42,18 +42,19 @@ __all__ = [
 DEFAULT_WEIGHTS = (1.0 / 3.0, 1.0 / 3.0, 1.0 / 3.0)
 
 
-def verify_record(sealed_record, keys: crypto.KeyTable, registered_digest: str) -> bool:
-    """Does the stored sealed record still authenticate and match its
-    on-chain commitment digest?  One decryption and one hash: the commitment
-    is checked over the decrypted bytes themselves, so plaintext that is not
-    the canonical encoding it was committed as fails."""
+def verify_record(sealed_record, keys: crypto.KeyTable, registered_digest: str) -> bytes | None:
+    """The stored record's plaintext bytes if it still authenticates and
+    matches its on-chain commitment digest, else None.  One decryption and
+    one hash: the commitment is checked over the decrypted bytes themselves,
+    so plaintext that is not the canonical encoding it was committed as
+    fails."""
     if sealed_record.commitment.digest != registered_digest:
-        return False
+        return None
     try:
         plain = crypto.unseal_bytes(sealed_record.sealed, keys)
     except (crypto.AuthenticationError, crypto.UnknownKeyError):
-        return False
-    return sealed_record.commitment.matches(plain)
+        return None
+    return plain if sealed_record.commitment.matches(plain) else None
 
 
 @dataclass(frozen=True)
@@ -74,55 +75,53 @@ class SecurityReport:
         }
 
 
-@dataclass
-class SecurityInputs:
-    """Everything the security score reads: the chain, the stored sealed
-    records, the keys to check them, and the simulator's ground-truth count
-    of access events."""
+def security_score(
+    ledger: Ledger,
+    record_table: dict,
+    keys: crypto.KeyTable,
+    requests: int,
+    weights: tuple[float, float, float] = DEFAULT_WEIGHTS,
+) -> SecurityReport:
+    """Score the chain and the stored sealed records held in
+    ``record_table``, checked with ``keys``, against ``requests``, the number
+    of access requests the scenario scripts.
 
-    ledger: Ledger
-    record_table: dict
-    keys: crypto.KeyTable
-    ground_truth_accesses: int
-    weights: tuple[float, float, float] = DEFAULT_WEIGHTS
-
-
-def security_score(inputs: SecurityInputs) -> SecurityReport:
-    w_i, w_p, w_a = inputs.weights
+    The ledger is not assumed to verify: registrations whose body fails its
+    schema are not read (the chain check already zeroes integrity).
+    """
+    w_i, w_p, w_a = weights
     if min(w_i, w_p, w_a) < 0 or abs(w_i + w_p + w_a - 1.0) > 1e-9:
         raise ValueError("weights must be non-negative and sum to 1")
 
     registered = {
         tx.body["record_id"]: tx.body["commitment"]
-        for tx in inputs.ledger.iter_txs()
-        if tx.kind == "DataRegistration"
+        for tx in ledger.iter_txs()
+        if tx.kind == "DataRegistration" and has_valid_body(tx)
     }
 
-    chain_ok = inputs.ledger.verify_chain() is None
+    chain_ok = ledger.verify_chain() is None
     if registered:
         ok = sum(
             1
             for record_id, commitment_digest in registered.items()
-            if record_id in inputs.record_table
-            and verify_record(inputs.record_table[record_id], inputs.keys, commitment_digest)
+            if record_id in record_table
+            and verify_record(record_table[record_id], keys, commitment_digest) is not None
         )
         record_fraction = ok / len(registered)
     else:
         record_fraction = 1.0
     integrity = (1.0 if chain_ok else 0.0) * record_fraction
 
-    if inputs.record_table:
-        provenance = sum(1 for rid in inputs.record_table if rid in registered) / len(
-            inputs.record_table
-        )
+    if record_table:
+        provenance = sum(1 for rid in record_table if rid in registered) / len(record_table)
     else:
         provenance = 1.0
 
-    decisions = inputs.ledger.count_kind("AccessDecision")
-    if inputs.ground_truth_accesses == 0:
+    decisions = ledger.count_kind("AccessDecision")
+    if requests == 0:
         auditability = 1.0
     else:
-        auditability = min(1.0, decisions / inputs.ground_truth_accesses)
+        auditability = min(1.0, decisions / requests)
 
     score = w_i * integrity + w_p * provenance + w_a * auditability
     return SecurityReport(
@@ -158,23 +157,22 @@ def trust_objective(
     model: LinearModel,
     dataset: Dataset,
     spec: FeatureSpec,
-    security: SecurityInputs | SecurityReport,
+    security: SecurityReport,
     penalty_weight: float,
     security_weight: float,
 ) -> TrustReport:
     """Loss plus weighted interpretability penalty minus weighted security."""
     if penalty_weight < 0 or security_weight < 0:
         raise ValueError("trade-off weights must be non-negative")
-    report = security if isinstance(security, SecurityReport) else security_score(security)
     empirical = loss(model, dataset)
     # The same hinge the per-row explanations give (an auditor can recompute
     # it from them), without building one explanation per training row.
     mean_penalty = mean_sign_violation(model, dataset.X, spec)
-    objective = empirical + penalty_weight * mean_penalty - security_weight * report.score
+    objective = empirical + penalty_weight * mean_penalty - security_weight * security.score
     return TrustReport(
         empirical_loss=empirical,
         mean_penalty=mean_penalty,
-        security=report.score,
+        security=security.score,
         penalty_weight=penalty_weight,
         security_weight=security_weight,
         objective=objective,

@@ -39,7 +39,6 @@ from bxhf.learning import (
 from bxhf.ledger import Ledger, LogicalClock, dump_ledger, load_ledger
 from bxhf.scenario import demo_profile, rare_disease_profile, validate_config
 from bxhf.trust import (
-    SecurityInputs,
     SecurityReport,
     security_score,
     trust_objective,
@@ -87,7 +86,7 @@ def test_criterion_01_tamper_detection():
     for rid in records:
         tamper(world, ("record", rid), 7)
         cases += 1
-        detected += not verify_record(world.record_table[rid], world.keys, registered[rid])
+        detected += verify_record(world.record_table[rid], world.keys, registered[rid]) is None
         tamper(world, ("record", rid), 7)
 
     # flip one bit inside each stored explanation artifact
@@ -163,7 +162,6 @@ def test_criterion_04_access_truth_table():
     keys = crypto.KeyTable()
     keys.register("k-h", rng.bytes(crypto.KEY_LEN))
     table = {}
-    owner = {}
     for rid in ("r1", "r2"):
         value = {"record_id": rid, "features": {"hr": 72.0}, "outcome": 0.0}
         table[rid] = SealedRecord(
@@ -172,7 +170,6 @@ def test_criterion_04_access_truth_table():
             crypto.seal(value, "k-h", keys, rng.bytes(crypto.NONCE_LEN)),
             crypto.commit(value, rng.bytes(crypto.SALT_LEN)),
         )
-        owner[rid] = "hosp"
 
     base = {
         "policy_id": "p1",
@@ -202,7 +199,7 @@ def test_criterion_04_access_truth_table():
                     for purpose in ("treatment", "research", "audit"):
                         tx_before = ledger.count_kind("AccessDecision")
                         plaintext, tx = gated_fetch(
-                            ledger, keys, registry, table, owner,
+                            ledger, keys, registry, table,
                             user, rid, purpose, clock,
                         )
                         expected = _grid_oracle(
@@ -331,8 +328,8 @@ def test_criterion_08_trust_identities():
     pooled = world.pooled_dataset()
     spec = world.config.feature_spec
 
-    inputs = SecurityInputs(world.ledger, world.record_table, world.keys, 6)
-    plain = trust_objective(model, pooled, spec, inputs, 0.0, 0.0)
+    security = security_score(world.ledger, world.record_table, world.keys, 6)
+    plain = trust_objective(model, pooled, spec, security, 0.0, 0.0)
     from bxhf.learning import loss as loss_fn
 
     identity_a = plain.objective == loss_fn(model, pooled)
@@ -352,7 +349,7 @@ def test_criterion_08_trust_identities():
             model,
             pooled,
             spec,
-            SecurityInputs(world.ledger, world.record_table, world.keys, 6),
+            security_score(world.ledger, world.record_table, world.keys, 6),
             0.3,
             lam2,
         )

@@ -75,13 +75,12 @@ def test_other_user_is_invisible():
 
 def test_wildcard_scope_needs_owner_map():
     policy = _policy(record_scope=institution_scope("hospital-a"))
-    owners = {"rec-1": "hospital-a", "rec-2": "hospital-b"}
-    assert evaluate_access([policy], "dr-a", "rec-1", "treatment", 15, owners)[0] is True
-    assert evaluate_access([policy], "dr-a", "rec-2", "treatment", 15, owners) == (
+    assert evaluate_access([policy], "dr-a", "rec-1", "treatment", 15, "hospital-a")[0] is True
+    assert evaluate_access([policy], "dr-a", "rec-2", "treatment", 15, "hospital-b") == (
         False,
         "no_policy",
     )
-    # without the owner map, a wildcard can never match
+    # without the owner, a wildcard can never match
     assert evaluate_access([policy], "dr-a", "rec-1", "treatment", 15) == (
         False,
         "no_policy",
@@ -137,8 +136,9 @@ def test_update_consent_appends_transaction():
 
 
 class _Rec:
-    def __init__(self, sealed):
+    def __init__(self, sealed, institution_id):
         self.sealed = sealed
+        self.institution_id = institution_id
 
 
 def _world():
@@ -147,19 +147,18 @@ def _world():
     keys.register("k-h", rng.bytes(32))
     payload = {"record_id": "rec-1", "features": {"hr": 70.0}, "outcome": 1.0}
     sealed = seal(payload, "k-h", keys, rng.bytes(NONCE_LEN))
-    table = {"rec-1": _Rec(sealed)}
-    owners = {"rec-1": "hospital-a"}
+    table = {"rec-1": _Rec(sealed, "hospital-a")}
     chain = Ledger()
     clock = LogicalClock()
     registry = ConsentRegistry()
     update_consent(chain, registry, _policy(valid_from=1, valid_until=1000), clock)
-    return keys, payload, table, owners, chain, clock, registry
+    return keys, payload, table, chain, clock, registry
 
 
 def test_gated_fetch_permit_returns_plaintext_and_logs():
-    keys, payload, table, owners, chain, clock, registry = _world()
+    keys, payload, table, chain, clock, registry = _world()
     plaintext, tx = gated_fetch(
-        chain, keys, registry, table, owners, "dr-a", "rec-1", "treatment", clock
+        chain, keys, registry, table, "dr-a", "rec-1", "treatment", clock
     )
     assert plaintext == payload
     assert tx.kind == "AccessDecision"
@@ -168,9 +167,9 @@ def test_gated_fetch_permit_returns_plaintext_and_logs():
 
 
 def test_gated_fetch_deny_returns_none_but_still_logs():
-    keys, _, table, owners, chain, clock, registry = _world()
+    keys, _, table, chain, clock, registry = _world()
     plaintext, tx = gated_fetch(
-        chain, keys, registry, table, owners, "dr-b", "rec-1", "treatment", clock
+        chain, keys, registry, table, "dr-b", "rec-1", "treatment", clock
     )
     assert plaintext is None
     assert tx.body["outcome"] == "deny"
@@ -179,34 +178,34 @@ def test_gated_fetch_deny_returns_none_but_still_logs():
 
 
 def test_gated_fetch_unknown_record_logs_nothing():
-    keys, _, table, owners, chain, clock, registry = _world()
+    keys, _, table, chain, clock, registry = _world()
     before = chain.count_kind("AccessDecision")
     with pytest.raises(UnknownRecordError):
-        gated_fetch(chain, keys, registry, table, owners, "dr-a", "nope", "treatment", clock)
+        gated_fetch(chain, keys, registry, table, "dr-a", "nope", "treatment", clock)
     assert chain.count_kind("AccessDecision") == before
 
 
 def test_gated_fetch_tampered_record_raises_alarm_after_logging():
-    keys, _, table, owners, chain, clock, registry = _world()
+    keys, _, table, chain, clock, registry = _world()
     sealed = table["rec-1"].sealed
     raw = bytearray(sealed.ciphertext)
     raw[-1] ^= 0x01
     table["rec-1"].sealed = type(sealed)(bytes(raw), sealed.auth_tag, sealed.key_id)
     before = chain.count_kind("AccessDecision")
     with pytest.raises(IntegrityAlarmError) as excinfo:
-        gated_fetch(chain, keys, registry, table, owners, "dr-a", "rec-1", "treatment", clock)
+        gated_fetch(chain, keys, registry, table, "dr-a", "rec-1", "treatment", clock)
     assert "rec-1" in str(excinfo.value)
     assert chain.count_kind("AccessDecision") == before + 1  # decision logged first
 
 
 def test_exactly_one_decision_tx_per_evaluation():
-    keys, _, table, owners, chain, clock, registry = _world()
+    keys, _, table, chain, clock, registry = _world()
     for user, purpose in [
         ("dr-a", "treatment"),
         ("dr-a", "research"),
         ("dr-b", "audit"),
         ("dr-a", "treatment"),
     ]:
-        gated_fetch(chain, keys, registry, table, owners, user, "rec-1", purpose, clock)
+        gated_fetch(chain, keys, registry, table, user, "rec-1", purpose, clock)
     assert chain.count_kind("AccessDecision") == 4
     assert chain.verify_chain() is None

@@ -17,12 +17,12 @@ from bxhf.harness import LEDGER_FILE, REPORT_FILE, WORLD_FILE
 GOLDEN = {
     "demo": {
         LEDGER_FILE: "069bc46094cb5283d69dc464230bc334e852f9aa039896364a7ea18bd786877c",
-        WORLD_FILE: "df460a9e2a5feb9d16b71c9618869e7625ef08fd21604999812756c603ba3641",
+        WORLD_FILE: "68523e357796c08a3791c45f56050fcfe5fff7d9b5c568a54361277290f89f68",
         REPORT_FILE: "94c5c86fee525ed9d10461b508e8ad2f038c229e63fa407c3ad9f9a928118e2b",
     },
     "rare-disease": {
         LEDGER_FILE: "c11e73685d65978157d101cac3e471c742822c5b50d8d8c765360f30ad2fa70d",
-        WORLD_FILE: "0897e7c944dca5149919700e43f3ae12fc3d0cf285604f7a554a2b63bf31e62f",
+        WORLD_FILE: "bd960fbf9b6eccf9f7f97bd3b46dd3717e45e42997c73f1110cbc202f5aec5e4",
         REPORT_FILE: "7c31ca89c593b35188bd88244f0280fb1d1ad90bdf8ad0a011c5344704964f7f",
     },
 }

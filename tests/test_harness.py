@@ -28,7 +28,7 @@ from bxhf.harness import (
 from bxhf.canon import canonicalize
 from bxhf.explain import explain_linear, plausibility_penalty
 from bxhf.ledger import dump_ledger
-from bxhf.scenario import demo_profile, validate_config
+from bxhf.scenario import demo_profile, rare_disease_profile, validate_config
 from bxhf.trust import DEFAULT_WEIGHTS, SecurityReport, trust_objective, verify_record
 
 
@@ -51,9 +51,9 @@ def test_build_registers_every_record_on_chain():
     registered = {
         tx.body["record_id"] for tx in ledger.iter_txs() if tx.kind == "DataRegistration"
     }
-    assert registered == set(world.record_table)
-    for rid, record in world.record_table.items():
-        assert world.record_owner[rid] == record.institution_id
+    assert registered == set(world.records)
+    for rid, record in world.records.items():
+        assert record.record_id == rid
 
 
 def test_build_is_deterministic():
@@ -86,7 +86,7 @@ def test_workflow_report_counts():
     assert report["decision_count"] == report["steps"]["4_requests"]["permitted"] == 5
     assert report["steps"]["4_requests"]["denied"] == 1
     # one on-chain access decision per scripted request, no more and no fewer
-    assert world.ledger.count_kind("AccessDecision") == len(world.ground_truth_events)
+    assert world.ledger.count_kind("AccessDecision") == len(cfg.requests)
     assert report["security"]["score"] == 1.0
     assert report["steps"]["5_validation"]["consensus"] is True
     assert report["steps"]["5_validation"]["mismatches"] == []
@@ -132,13 +132,12 @@ def test_record_tamper_reports_input_mismatch():
 def test_record_resealed_with_re_spaced_plaintext_fails_input_checks():
     world, report = _ran()
     txid, rid = _decision_for_record(world, report)
-    owner = world.record_owner[rid]
-    record = world.stores[owner][rid]
+    record = world.records[rid]
     plain = crypto.unseal_bytes(record.sealed, world.keys)
     re_spaced = b"{ " + plain[1:]
     nonce = record.sealed.ciphertext[: crypto.NONCE_LEN]
     sealed = AESGCM(world.keys.get(record.sealed.key_id)).encrypt(nonce, re_spaced, None)
-    world.stores[owner][rid] = dataclasses.replace(
+    world.records[rid] = dataclasses.replace(
         record,
         sealed=dataclasses.replace(
             record.sealed,
@@ -146,11 +145,11 @@ def test_record_resealed_with_re_spaced_plaintext_fails_input_checks():
             auth_tag=sealed[-crypto.TAG_LEN :],
         ),
     )
-    resealed = world.stores[owner][rid]
+    resealed = world.records[rid]
     # same value, same key, authenticates: only the committed bytes differ
     assert crypto.unseal(resealed.sealed, world.keys) == crypto.unseal(record.sealed, world.keys)
-    assert verify_record(record, world.keys, record.commitment.digest)
-    assert not verify_record(resealed, world.keys, record.commitment.digest)
+    assert verify_record(record, world.keys, record.commitment.digest) == plain
+    assert verify_record(resealed, world.keys, record.commitment.digest) is None
     assert verify_decision(world, txid) == "input"
 
 
@@ -243,8 +242,12 @@ def test_score_world_reflects_tampering():
     assert dirty["trust"]["objective"] > clean["trust"]["objective"]
 
 
-def test_save_and_load_round_trip(tmp_path):
-    world, report = _ran()
+@pytest.mark.parametrize(
+    "profile", [demo_profile, rare_disease_profile], ids=["demo", "rare-disease"]
+)
+def test_save_and_load_round_trip(tmp_path, profile):
+    world = build_scenario(validate_config(profile()))
+    report = run_workflow(world)
     save_world(world, tmp_path)
     assert (tmp_path / LEDGER_FILE).exists()
     assert (tmp_path / REPORT_FILE).exists()
@@ -254,6 +257,12 @@ def test_save_and_load_round_trip(tmp_path):
     assert canonicalize(world_value(loaded)) == canonicalize(world_value(world))
     assert loaded.report == report
     assert loaded.unreadable_records == []
+    # the same rows, bit for bit, in the same institution and row order
+    assert list(loaded.datasets) == list(world.datasets)
+    for inst, built in world.datasets.items():
+        assert loaded.datasets[inst].X.tobytes() == built.X.tobytes()
+        assert loaded.datasets[inst].X.shape == built.X.shape
+        assert loaded.datasets[inst].y.tobytes() == built.y.tobytes()
     assert loaded.model.param_hash() == world.model.param_hash()
     for txid in report["decision_tx_ids"]:
         assert verify_decision(loaded, txid) == "valid"
@@ -270,7 +279,7 @@ def test_load_flags_unreadable_records(tmp_path):
 
     loaded = load_world(tmp_path)
     assert loaded.unreadable_records == [rid]
-    owner = loaded.record_owner[rid]
+    owner = loaded.records[rid].institution_id
     assert len(loaded.datasets[owner]) == 9  # the damaged row is dropped
     assert rid in score_world(loaded).get("unreadable_records", [])
 

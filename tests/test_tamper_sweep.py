@@ -10,9 +10,10 @@ re-spaced without changing their value, a forged transaction whose hashes
 were all recomputed, and damage in two places at once.
 
 ``score`` must agree with ``verify-chain`` on a damaged ledger, ``audit``
-(which does not verify) must print no traceback for a forged one, and a
-seeded sample of flips of the demo ``world.bx`` must give every reading
-command an exit code, never a traceback.
+(which does not verify) must print no traceback for a forged one, neither
+may ``score``, ``verify-decision`` or ``explain`` for a transaction body that
+fails its schema, and a seeded sample of flips of the demo ``world.bx`` must
+give every reading command an exit code, never a traceback.
 """
 
 from __future__ import annotations
@@ -207,16 +208,66 @@ def test_audit_of_a_forged_ledger_exits_without_a_traceback(ledger, edit, rc, tm
         assert times[-1] == "x" and times[:-1] == sorted(times[:-1])  # chain order
 
 
+def _body_is_seven(tx):
+    tx["body"] = 7
+
+
+def _valid_from_is_text(tx):
+    tx["body"]["valid_from"] = "x"
+
+
+def _record_ref_missing(tx):
+    del tx["body"]["record_ref"]
+
+
+@pytest.mark.parametrize(
+    "kind, edit, decision_rc",
+    [
+        ("ConsentUpdate", _body_is_seven, 0),
+        ("ConsentUpdate", _valid_from_is_text, 0),
+        ("DataRegistration", _body_is_seven, 0),
+        ("DecisionRecord", _body_is_seven, 1),
+        ("DecisionRecord", _record_ref_missing, 1),
+    ],
+    ids=["consent-body", "consent-valid-from", "registration-body", "decision-body", "decision-ref"],
+)
+def test_body_failing_its_schema_is_skipped_not_read(
+    world_dir, ledger, kind, edit, decision_rc, tmp_path, capsys
+):
+    """The first ``kind`` transaction's body edited, no hash fixed: ``score``
+    fails integrity, and the commands that do not verify the chain exit 0
+    when the decision they read still replays (``input`` when it is the
+    forged one)."""
+    lines = ledger.split(b"\n")
+    index, block = next(
+        (i, block)
+        for i, block in enumerate(loads(line) for line in lines[:-1])
+        if any(tx["kind"] == kind for tx in block["transactions"])
+    )
+    edit(next(tx for tx in block["transactions"] if tx["kind"] == kind))
+    lines[index] = dumps(block).encode()
+    world = tmp_path / "world"
+    shutil.copytree(world_dir, world)
+    (world / LEDGER_FILE).write_bytes(b"\n".join(lines))
+    decision = loads((world_dir / REPORT_FILE).read_bytes())["decision_tx_ids"][0]
+    capsys.readouterr()
+    assert main(["score", "--world", str(world)]) == 1
+    assert '"integrity": 0.0' in capsys.readouterr().out
+    assert main(["verify-decision", "--world", str(world), "--decision", decision]) == decision_rc
+    assert capsys.readouterr().out == ("valid\n" if decision_rc == 0 else "mismatch: input\n")
+    assert main(["explain", "--world", str(world), "--record", "st-marys-r000"]) == 0
+
+
 WORLD_FLIPS = 96
 
 
 def test_world_flips_give_exit_codes_not_tracebacks(world_dir, tmp_path, capsys):
     """Each command that reads ``world.bx`` returns 0, 1 or 2 on a flipped copy.
 
-    Exit 0 is still possible for some flips: nothing binds the ``events``
-    list to the chain, ``score`` does not read the stored decision artifacts,
-    and the lenient notation reads an upper-case hex digit in a byte string
-    as the same byte.  This test asks only for an exit code.
+    Exit 0 is still possible for some flips: ``score`` does not read the
+    stored decision artifacts, and the lenient notation reads an upper-case
+    hex digit in a byte string as the same byte.  This test asks only for an
+    exit code.
     """
     world = tmp_path / "world"
     shutil.copytree(world_dir, world)

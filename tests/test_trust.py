@@ -13,7 +13,6 @@ from bxhf.learning import Dataset, FeatureSpec, LinearModel, loss, mean_sign_vio
 from bxhf.ledger import Ledger, LogicalClock, build_transaction
 from bxhf.trust import (
     DEFAULT_WEIGHTS,
-    SecurityInputs,
     SecurityReport,
     security_score,
     trust_objective,
@@ -88,15 +87,16 @@ def _tamper_record(table: dict, record_id: str) -> None:
 def test_verify_record_accepts_intact_and_rejects_tampered():
     _, table, keys = _world(1)
     record = table["r0"]
-    assert verify_record(record, keys, record.commitment.digest)
-    assert not verify_record(record, keys, "0" * 64)  # wrong registered digest
+    plain = crypto.unseal_bytes(record.sealed, keys)
+    assert verify_record(record, keys, record.commitment.digest) == plain
+    assert verify_record(record, keys, "0" * 64) is None  # wrong registered digest
     _tamper_record(table, "r0")
-    assert not verify_record(table["r0"], keys, record.commitment.digest)
+    assert verify_record(table["r0"], keys, record.commitment.digest) is None
 
 
 def test_clean_world_scores_one():
     ledger, table, keys = _world(4, n_decisions=2)
-    report = security_score(SecurityInputs(ledger, table, keys, ground_truth_accesses=2))
+    report = security_score(ledger, table, keys, 2)
     assert report.integrity == 1.0
     assert report.provenance == 1.0
     assert report.auditability == 1.0
@@ -106,7 +106,7 @@ def test_clean_world_scores_one():
 def test_one_tampered_record_of_four():
     ledger, table, keys = _world(4)
     _tamper_record(table, "r2")
-    report = security_score(SecurityInputs(ledger, table, keys, ground_truth_accesses=0))
+    report = security_score(ledger, table, keys, 0)
     # 3 of 4 records verify; provenance and auditability stay full, so with
     # equal weights the score is (0.75 + 1 + 1) / 3.
     assert report.integrity == pytest.approx(0.75)
@@ -118,7 +118,7 @@ def test_one_tampered_record_of_four():
 def test_broken_chain_zeroes_integrity_entirely():
     ledger, table, keys = _world(3)
     ledger.blocks[1].payload_bytes = b"x" + ledger.blocks[1].payload_bytes[1:]
-    report = security_score(SecurityInputs(ledger, table, keys, ground_truth_accesses=0))
+    report = security_score(ledger, table, keys, 0)
     # every record still authenticates, but a corrupt chain gates the whole term
     assert report.integrity == 0.0
     assert report.score == pytest.approx((0.0 + 1.0 + 1.0) / 3.0)
@@ -128,7 +128,7 @@ def test_unregistered_record_lowers_provenance():
     ledger, table, keys = _world(3)
     rng = np.random.default_rng(9)
     table["ghost"] = _sealed(keys, rng, "ghost")
-    report = security_score(SecurityInputs(ledger, table, keys, ground_truth_accesses=0))
+    report = security_score(ledger, table, keys, 0)
     assert report.provenance == pytest.approx(3.0 / 4.0)
     # the ghost is not registered, so it cannot hurt integrity
     assert report.integrity == 1.0
@@ -137,27 +137,27 @@ def test_unregistered_record_lowers_provenance():
 def test_registered_but_missing_record_hurts_integrity():
     ledger, table, keys = _world(4)
     del table["r1"]
-    report = security_score(SecurityInputs(ledger, table, keys, ground_truth_accesses=0))
+    report = security_score(ledger, table, keys, 0)
     assert report.integrity == pytest.approx(0.75)
     assert report.provenance == 1.0
 
 
 def test_auditability_ratio_and_cap():
     ledger, table, keys = _world(2, n_decisions=3)
-    partial = security_score(SecurityInputs(ledger, table, keys, ground_truth_accesses=5))
+    partial = security_score(ledger, table, keys, 5)
     assert partial.auditability == pytest.approx(0.6)
-    capped = security_score(SecurityInputs(ledger, table, keys, ground_truth_accesses=2))
+    capped = security_score(ledger, table, keys, 2)
     assert capped.auditability == 1.0
-    vacuous = security_score(SecurityInputs(ledger, table, keys, ground_truth_accesses=0))
+    vacuous = security_score(ledger, table, keys, 0)
     assert vacuous.auditability == 1.0
 
 
 def test_weight_validation():
     ledger, table, keys = _world(1)
     with pytest.raises(ValueError):
-        security_score(SecurityInputs(ledger, table, keys, 0, weights=(0.5, 0.5, 0.5)))
+        security_score(ledger, table, keys, 0, weights=(0.5, 0.5, 0.5))
     with pytest.raises(ValueError):
-        security_score(SecurityInputs(ledger, table, keys, 0, weights=(-0.2, 0.6, 0.6)))
+        security_score(ledger, table, keys, 0, weights=(-0.2, 0.6, 0.6))
 
 
 def test_score_stays_in_unit_interval_under_random_damage():
@@ -178,11 +178,7 @@ def test_score_stays_in_unit_interval_under_random_damage():
                 del table[rid]
         raw = rng.uniform(0.05, 1.0, 3)
         weights = tuple(raw / raw.sum())
-        report = security_score(
-            SecurityInputs(
-                ledger, table, keys, int(rng.integers(0, 6)), weights=weights
-            )
-        )
+        report = security_score(ledger, table, keys, int(rng.integers(0, 6)), weights=weights)
         for part in (report.integrity, report.provenance, report.auditability, report.score):
             assert 0.0 <= part <= 1.0
 
@@ -199,8 +195,8 @@ def _toy_fit():
 def test_objective_reduces_to_loss_without_weights():
     model, data, spec = _toy_fit()
     ledger, table, keys = _world(2)
-    inputs = SecurityInputs(ledger, table, keys, ground_truth_accesses=0)
-    report = trust_objective(model, data, spec, inputs, penalty_weight=0.0, security_weight=0.0)
+    security = security_score(ledger, table, keys, 0)
+    report = trust_objective(model, data, spec, security, penalty_weight=0.0, security_weight=0.0)
     assert report.objective == pytest.approx(loss(model, data))
     assert report.mean_penalty == pytest.approx(mean_sign_violation(model, data.X, spec))
 
@@ -221,11 +217,11 @@ def test_tampering_strictly_worsens_objective():
     ledger, table, keys = _world(4)
     args = dict(penalty_weight=0.25, security_weight=0.5)
     before = trust_objective(
-        model, data, spec, SecurityInputs(ledger, table, keys, 0), **args
+        model, data, spec, security_score(ledger, table, keys, 0), **args
     )
     _tamper_record(table, "r0")
     after = trust_objective(
-        model, data, spec, SecurityInputs(ledger, table, keys, 0), **args
+        model, data, spec, security_score(ledger, table, keys, 0), **args
     )
     assert after.security < before.security
     assert after.objective > before.objective
@@ -258,7 +254,7 @@ def test_objective_weight_validation_and_report_values():
 
 def test_security_report_value_shape():
     ledger, table, keys = _world(2, n_decisions=1)
-    report = security_score(SecurityInputs(ledger, table, keys, ground_truth_accesses=1))
+    report = security_score(ledger, table, keys, 1)
     value = report.to_value()
     assert value["score"] == 1.0
     assert value["weights"] == [w for w in DEFAULT_WEIGHTS]
