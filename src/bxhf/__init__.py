@@ -35,9 +35,11 @@ from .crypto import (
     UnknownKeyError,
     ZERO_HASH,
     commit,
+    commit_bytes,
     digest,
     digest_value,
     seal,
+    seal_bytes,
     unseal,
     unseal_bytes,
     verify_commit,

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import crypto
-from .ledger import Ledger, LogicalClock, Transaction, build_transaction
+from .ledger import PURPOSES, Ledger, LogicalClock, Transaction, build_transaction
 
 __all__ = [
     "AccessPolicy",
@@ -25,8 +25,6 @@ __all__ = [
     "institution_scope",
     "update_consent",
 ]
-
-PURPOSES = ("treatment", "research", "audit")
 
 # Deny reasons, ordered by reporting precedence (nearest miss first).
 _REASON_ORDER = ("purpose_mismatch", "expired", "revoked", "no_policy")
@@ -60,8 +58,11 @@ class AccessPolicy:
     granted: bool
 
     def __post_init__(self):
-        if not (self.policy_id and self.user_id and self.record_scope):
-            raise ValueError("policy_id, user_id and record_scope must be non-empty")
+        if not all(
+            isinstance(text, str) and text
+            for text in (self.policy_id, self.user_id, self.record_scope)
+        ):
+            raise ValueError("policy_id, user_id and record_scope must be non-empty text")
         if self.valid_from > self.valid_until:
             raise ValueError(
                 f"policy {self.policy_id!r}: valid_from {self.valid_from} "

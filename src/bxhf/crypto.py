@@ -28,8 +28,10 @@ __all__ = [
     "UnknownKeyError",
     "ZERO_HASH",
     "commit",
+    "commit_bytes",
     "digest",
     "seal",
+    "seal_bytes",
     "unseal",
     "unseal_bytes",
     "verify_commit",
@@ -80,11 +82,21 @@ class Commitment:
         return digest(encoded + self.salt) == self.digest
 
 
-def commit(plaintext, salt: bytes) -> Commitment:
-    """Commit to a structured value: ``digest = H(canonical(plaintext) || salt)``."""
+def commit_bytes(encoded: bytes, salt: bytes) -> Commitment:
+    """Commit to exact bytes: ``digest = H(encoded || salt)``.
+
+    A caller that seals the same canonical encoding passes it here and to
+    :func:`seal_bytes`, so the commitment and the seal cover one emission,
+    and :meth:`Commitment.matches` over the unsealed bytes reproduces it.
+    """
     if len(salt) != SALT_LEN:
         raise ValueError(f"salt must be {SALT_LEN} bytes, got {len(salt)}")
-    return Commitment(digest=digest(canonicalize(plaintext) + salt), salt=bytes(salt))
+    return Commitment(digest=digest(encoded + salt), salt=bytes(salt))
+
+
+def commit(plaintext, salt: bytes) -> Commitment:
+    """Commit to a structured value: ``digest = H(canonical(plaintext) || salt)``."""
+    return commit_bytes(canonicalize(plaintext), salt)
 
 
 def verify_commit(plaintext, commitment: Commitment) -> bool:
@@ -141,8 +153,9 @@ class KeyTable:
         return table
 
 
-def seal(plaintext, key_id: str, keys: KeyTable, nonce: bytes) -> SealedPayload:
-    """Seal a structured value under a registered key.
+def seal_bytes(encoded: bytes, key_id: str, keys: KeyTable, nonce: bytes) -> SealedPayload:
+    """Seal exact bytes under a registered key; :func:`unseal_bytes` returns
+    them.
 
     The nonce is caller-supplied (drawn from the scenario generator) so
     sealing is deterministic for a fixed seed.
@@ -150,9 +163,14 @@ def seal(plaintext, key_id: str, keys: KeyTable, nonce: bytes) -> SealedPayload:
     if len(nonce) != NONCE_LEN:
         raise ValueError(f"nonce must be {NONCE_LEN} bytes, got {len(nonce)}")
     key = keys.get(key_id)
-    sealed = AESGCM(key).encrypt(nonce, canonicalize(plaintext), None)
+    sealed = AESGCM(key).encrypt(nonce, encoded, None)
     body, tag = sealed[:-TAG_LEN], sealed[-TAG_LEN:]
     return SealedPayload(ciphertext=bytes(nonce) + body, auth_tag=tag, key_id=key_id)
+
+
+def seal(plaintext, key_id: str, keys: KeyTable, nonce: bytes) -> SealedPayload:
+    """Seal the canonical encoding of a structured value; see :func:`seal_bytes`."""
+    return seal_bytes(canonicalize(plaintext), key_id, keys, nonce)
 
 
 def unseal_bytes(payload: SealedPayload, keys: KeyTable) -> bytes:

@@ -17,7 +17,6 @@ import numpy as np
 
 from . import canon, crypto
 from .access import (
-    AccessPolicy,
     ConsentRegistry,
     IntegrityAlarmError,
     gated_fetch,
@@ -85,6 +84,29 @@ class SealedRecord:
     institution_id: str
     sealed: crypto.SealedPayload
     commitment: crypto.Commitment
+    # (sealed payload, key, plaintext or None) of the last open
+    _opened: tuple | None = field(default=None, init=False, repr=False, compare=False)
+
+    def open(self, keys: crypto.KeyTable) -> bytes | None:
+        """The sealed plaintext bytes, or None when the seal does not
+        authenticate under ``keys``.
+
+        The result is kept with the sealed payload and key it came from, so
+        every check of one command that reads this record shares a single
+        AES-GCM open; a new payload (tampering) or key opens again.
+        """
+        try:
+            key = keys.get(self.sealed.key_id)
+        except crypto.UnknownKeyError:
+            return None
+        opened = self._opened
+        if opened is None or opened[0] is not self.sealed or opened[1] != key:
+            try:
+                plain = crypto.unseal_bytes(self.sealed, keys)
+            except crypto.AuthenticationError:
+                plain = None
+            opened = self._opened = (self.sealed, key, plain)
+        return opened[2]
 
     def to_value(self) -> dict:
         return {
@@ -95,29 +117,70 @@ class SealedRecord:
 
     @classmethod
     def from_value(cls, record_id: str, value: dict) -> "SealedRecord":
-        return cls(
+        """Raises ``TypeError`` for a value not shaped like a sealed record."""
+        record = cls(
             record_id=record_id,
             institution_id=value["institution_id"],
             sealed=crypto.SealedPayload.from_value(value["sealed"]),
             commitment=crypto.Commitment.from_value(value["commitment"]),
         )
+        sealed, commitment = record.sealed, record.commitment
+        if not (
+            isinstance(record.institution_id, str)
+            and isinstance(sealed.key_id, str)
+            and isinstance(sealed.ciphertext, bytes)
+            and isinstance(sealed.auth_tag, bytes)
+            and isinstance(commitment.digest, str)
+            and isinstance(commitment.salt, bytes)
+        ):
+            raise TypeError(f"record {record_id!r} is not shaped like a sealed record")
+        return record
 
 
 @dataclass
 class WorldState:
-    """Everything a consortium run touches, on-chain and off."""
+    """Everything a consortium run touches, on-chain and off.
+
+    A world from :func:`build_scenario` is the one :func:`run_workflow`
+    drives: ``registry`` holds the effective consent and ``clock`` continues
+    the chain.  A world from :func:`load_world` is only read, and its
+    ``registry`` is None: no command runs the workflow on a loaded world,
+    and a registry replayed from an unverified chain would be one nothing
+    checks, so none is built rather than an empty one.  Its ``clock`` still
+    starts past the last logical time on the chain.  Its ``datasets`` and
+    ``unreadable_records`` are built from the sealed records the first time
+    either is read.
+    """
 
     config: ScenarioConfig
     ledger: Ledger
     clock: LogicalClock
     keys: crypto.KeyTable
     records: dict[str, SealedRecord]
-    registry: ConsentRegistry
-    datasets: dict[str, Dataset]
+    registry: ConsentRegistry | None
     model: LinearModel | None = None
     decision_artifacts: dict[str, dict[str, bytes]] = field(default_factory=dict)
-    unreadable_records: list[str] = field(default_factory=list)
     report: dict | None = None
+    # None until first read on a loaded world; see ``datasets``
+    _datasets: dict[str, Dataset] | None = field(default=None, repr=False)
+    _unreadable: list[str] = field(default_factory=list, repr=False)
+
+    @property
+    def datasets(self) -> dict[str, Dataset]:
+        """Each institution's training rows.  On a loaded world they are
+        built on first read by :func:`_open_datasets`."""
+        if self._datasets is None:
+            self._datasets, self._unreadable = _open_datasets(
+                self.config, self.records, self.keys
+            )
+        return self._datasets
+
+    @property
+    def unreadable_records(self) -> list[str]:
+        """Records left out of ``datasets`` because their seals do not
+        authenticate, in sorted id order."""
+        self.datasets  # noqa: B018 - builds them on a loaded world
+        return self._unreadable
 
     @property
     def record_table(self) -> dict[str, SealedRecord]:
@@ -160,11 +223,12 @@ def build_scenario(config: ScenarioConfig | dict) -> WorldState:
     for inst in config.institution_ids:
         batch: list[Transaction] = []
         for rec in (r for r in generated if r.institution_id == inst):
-            payload = rec.payload()
+            # one encoding, committed to and sealed
+            encoded = canon.canonicalize(rec.payload())
             salt = rng.bytes(crypto.SALT_LEN)
-            commitment = crypto.commit(payload, salt)
+            commitment = crypto.commit_bytes(encoded, salt)
             nonce = rng.bytes(crypto.NONCE_LEN)
-            sealed = crypto.seal(payload, _key_id(inst), keys, nonce)
+            sealed = crypto.seal_bytes(encoded, _key_id(inst), keys, nonce)
             records[rec.record_id] = SealedRecord(
                 record_id=rec.record_id,
                 institution_id=inst,
@@ -211,7 +275,7 @@ def build_scenario(config: ScenarioConfig | dict) -> WorldState:
         keys=keys,
         records=records,
         registry=registry,
-        datasets=datasets,
+        _datasets=datasets,
     )
 
 
@@ -225,11 +289,10 @@ def _train_config(config: ScenarioConfig) -> TrainConfig:
 
 
 def _derive_decision(
-    model: LinearModel, spec: FeatureSpec, features: dict, record_ref: str, input_commitment: str
+    model: LinearModel, spec: FeatureSpec, x: np.ndarray, record_ref: str, input_commitment: str
 ) -> tuple[dict, Explanation]:
-    """The prediction value and the explanation a decision on these features
-    binds: run to make a decision, and again to replay one."""
-    x = np.asarray([features[n] for n in spec.names], dtype=float)
+    """The prediction value and the explanation a decision on the feature
+    row ``x`` binds: run to make a decision, and again to replay one."""
     margin, prediction = predict(model, x)
     explanation = explain_linear(
         model, spec, x, record_ref=record_ref, input_commitment=input_commitment
@@ -295,9 +358,8 @@ def run_workflow(world: WorldState) -> dict:
             continue
         rid = request["record_id"]
         input_commitment = table[rid].commitment.digest
-        prediction_value, explanation = _derive_decision(
-            model, spec, plaintext["features"], rid, input_commitment
-        )
+        x = np.asarray([plaintext["features"][n] for n in spec.names], dtype=float)
+        prediction_value, explanation = _derive_decision(model, spec, x, rid, input_commitment)
         decision_tx = build_transaction(
             "DecisionRecord",
             request["user_id"],
@@ -367,7 +429,9 @@ def verify_decision(world: WorldState, decision_tx_id: str) -> str:
     Returns ``"valid"`` or the first mismatch found, checked in dependency
     order: ``"input"``, ``"model"``, ``"prediction"``, ``"explanation"``.
     The chain is not verified here, so a decision whose body fails its
-    schema is an ``"input"`` mismatch.
+    schema is an ``"input"`` mismatch, as is a record whose plaintext is not
+    a row of the config's features.  Only the decision's own record is
+    opened.
     """
     tx = world.ledger.find_tx(decision_tx_id)
     if tx is None or tx.kind != "DecisionRecord":
@@ -380,13 +444,18 @@ def verify_decision(world: WorldState, decision_tx_id: str) -> str:
     plain = None if record is None else verify_record(record, world.keys, body["input_commitment"])
     if plain is None:
         return "input"
-    plaintext = canon.loads(plain)
+    spec = world.config.feature_spec
+    try:
+        features = canon.loads(plain)["features"]
+        x = np.asarray([features[n] for n in spec.names], dtype=float)
+    except (KeyError, TypeError, ValueError):  # ValueError covers parse errors
+        return "input"
 
     if world.model is None or world.model.param_hash() != body["model_hash"]:
         return "model"
 
     prediction_value, explanation = _derive_decision(
-        world.model, world.config.feature_spec, plaintext["features"], rid, body["input_commitment"]
+        world.model, spec, x, rid, body["input_commitment"]
     )
     artifacts = world.decision_artifacts.get(decision_tx_id, {})
     stored_prediction = artifacts.get("prediction")
@@ -486,34 +555,68 @@ def save_world(world: WorldState, out_dir: str | Path) -> Path:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     (out / SCENARIO_FILE).write_text(canon.dumps_pretty(world.config.raw))
-    (out / LEDGER_FILE).write_text(dump_ledger(world.ledger))
+    # the stored payload bytes exactly, damaged or not UTF-8 included
+    (out / LEDGER_FILE).write_bytes(dump_ledger(world.ledger).encode("utf-8", "surrogateescape"))
     (out / WORLD_FILE).write_bytes(canon.canonicalize(world_value(world)) + b"\n")
     if world.report is not None:
         (out / REPORT_FILE).write_bytes(canon.canonicalize(world.report) + b"\n")
     return out
 
 
+def _open_datasets(
+    config: ScenarioConfig, records: dict[str, SealedRecord], keys: crypto.KeyTable
+) -> tuple[dict[str, Dataset], list[str]]:
+    """Each institution's dataset from the sealed records, and the ids of
+    those whose seals do not authenticate.
+
+    Rows are in sorted record-id order, institutions in the config's order.
+    Every record that authenticates is a row, whether or not it matches its
+    commitment; the security score judges that.  A plaintext that is not a
+    record of the config's features raises
+    :class:`~bxhf.canon.NotationParseError` naming ``world.bx``.
+    """
+    spec = config.feature_spec
+    unreadable: list[str] = []
+    rows: dict[str, tuple[list, list]] = {inst: ([], []) for inst in config.institution_ids}
+    try:
+        for rid in sorted(records):
+            record = records[rid]
+            plain = record.open(keys)
+            if plain is None:
+                unreadable.append(rid)
+                continue
+            plaintext = canon.loads(plain)
+            x = [plaintext["features"][n] for n in spec.names]
+            xs, ys = rows.setdefault(record.institution_id, ([], []))
+            xs.append(x)
+            ys.append(plaintext["outcome"])
+        # the reshape keeps the feature width when no row is readable
+        datasets = {
+            inst: Dataset(np.reshape(xs, (-1, spec.dim)), ys, inst)
+            for inst, (xs, ys) in rows.items()
+        }
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise canon.NotationParseError(f"{WORLD_FILE} is not a saved world: {exc!r}") from None
+    return datasets, unreadable
+
+
 def load_world(world_dir: str | Path) -> WorldState:
-    """Rebuild a world from its saved files.
+    """Rebuild a world from its saved files, opening no sealed record.
 
     ``world.bx`` holds the keys, the sealed records, the stored decision
     artifacts and the model; the scripted requests are read from the
-    scenario.  The ledger is loaded leniently and not verified here: damaged
-    lines are dropped, and the damage travels with the ledger, so scoring
-    verifies the chain once and reports it.  Consent updates whose body
-    fails its schema are not applied.  Each institution's dataset holds its
-    readable records in sorted record-id order; records whose seals no
-    longer authenticate are listed in ``unreadable_records`` and left out.
-    A ``world.bx`` that parses but is not shaped like a saved world raises
-    :class:`~bxhf.canon.NotationParseError`.
+    scenario, and ``report.bx`` into ``report``.  The ledger is loaded
+    leniently and not verified here: damaged lines are dropped, and the
+    damage travels with the ledger, so scoring verifies the chain once and
+    reports it.  Consent is not replayed (``registry`` is None; see
+    :class:`WorldState`).  Records are opened when a check or the datasets
+    read them, each at most once.  A ``world.bx`` that parses but is not
+    shaped like a saved world raises :class:`~bxhf.canon.NotationParseError`.
     """
     base = Path(world_dir)
     config = load_config((base / SCENARIO_FILE).read_text())
     ledger = load_ledger_lenient((base / LEDGER_FILE).read_bytes())
     value = canon.loads((base / WORLD_FILE).read_bytes())
-    spec = config.feature_spec
-    unreadable: list[str] = []
-    rows: dict[str, tuple[list, list]] = {inst: ([], []) for inst in config.institution_ids}
     try:
         keys = crypto.KeyTable.from_value(value["keys"])
         records = {
@@ -525,27 +628,8 @@ def load_world(world_dir: str | Path) -> WorldState:
             txid: {name: bytes(data) for name, data in artifacts.items()}
             for txid, artifacts in value["decisions"].items()
         }
-        for rid in sorted(records):
-            try:
-                plaintext = crypto.unseal(records[rid].sealed, keys)
-            except (crypto.AuthenticationError, crypto.UnknownKeyError):
-                unreadable.append(rid)
-                continue
-            xs, ys = rows.setdefault(records[rid].institution_id, ([], []))
-            xs.append([plaintext["features"][n] for n in spec.names])
-            ys.append(plaintext["outcome"])
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise canon.NotationParseError(f"{WORLD_FILE} is not a saved world: {exc!r}") from None
-    # the reshape keeps the feature width when no row is readable
-    datasets = {
-        inst: Dataset(np.reshape(xs, (-1, spec.dim)), ys, inst)
-        for inst, (xs, ys) in rows.items()
-    }
-
-    registry = ConsentRegistry()
-    for tx in ledger.iter_txs():
-        if tx.kind == "ConsentUpdate" and has_valid_body(tx):
-            registry.apply(AccessPolicy.from_value(tx.body))
 
     world = WorldState(
         config=config,
@@ -553,11 +637,9 @@ def load_world(world_dir: str | Path) -> WorldState:
         clock=LogicalClock(ledger.max_logical_time() + 1),
         keys=keys,
         records=records,
-        registry=registry,
-        datasets=datasets,
+        registry=None,
         model=model,
         decision_artifacts=decision_artifacts,
-        unreadable_records=unreadable,
     )
     report_path = base / REPORT_FILE
     if report_path.exists():

@@ -14,9 +14,10 @@ and its explanation to the chain.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 
-from .canon import CanonicalizationError, NotationParseError, canonicalize, dumps, loads
+from .canon import CanonicalizationError, NotationParseError, canonicalize, loads
 from .crypto import ZERO_HASH, digest
 
 __all__ = [
@@ -24,6 +25,7 @@ __all__ = [
     "Ledger",
     "LedgerOrderingError",
     "LogicalClock",
+    "PURPOSES",
     "Transaction",
     "TransactionValidationError",
     "TX_KINDS",
@@ -34,6 +36,9 @@ __all__ = [
     "load_ledger_lenient",
     "verify_dump",
 ]
+
+# Purposes a consent policy can grant and an access request can name.
+PURPOSES = ("treatment", "research", "audit")
 
 TX_KINDS = (
     "DataRegistration",
@@ -75,6 +80,19 @@ _HASH_FIELDS = {
     "explanation_hash",
 }
 
+# Identifier fields, which must be text.
+_ID_FIELDS = {
+    "record_id",
+    "institution_id",
+    "policy_id",
+    "user_id",
+    "record_scope",
+    "node_id",
+    "record_ref",
+}
+
+_HASH = re.compile("[0-9a-f]{64}")
+
 
 class TransactionValidationError(ValueError):
     """Transaction kind or body does not satisfy its schema."""
@@ -85,11 +103,7 @@ class LedgerOrderingError(ValueError):
 
 
 def _is_hash(value) -> bool:
-    return (
-        isinstance(value, str)
-        and len(value) == 64
-        and all(c in "0123456789abcdef" for c in value)
-    )
+    return isinstance(value, str) and _HASH.fullmatch(value) is not None
 
 
 def _is_int(value) -> bool:
@@ -108,6 +122,10 @@ def _validate_body(kind: str, body: dict) -> None:
     for name in required:
         if name in _HASH_FIELDS and not _is_hash(body[name]):
             raise TransactionValidationError(f"{kind}.{name} must be a 64-hex-char hash")
+        if name in _ID_FIELDS and not isinstance(body[name], str):
+            raise TransactionValidationError(f"{kind}.{name} must be text")
+    if kind in ("ConsentUpdate", "AccessDecision") and body["purpose"] not in PURPOSES:
+        raise TransactionValidationError(f"{kind}.purpose must be one of {PURPOSES}")
     if kind == "AccessDecision":
         outcome, reason = body["outcome"], body["reason"]
         if outcome not in ("permit", "deny"):
@@ -115,6 +133,9 @@ def _validate_body(kind: str, body: dict) -> None:
         if (outcome == "permit") != (reason == "granted"):
             raise TransactionValidationError("outcome=permit iff reason=granted")
     if kind == "ConsentUpdate":
+        # what access.AccessPolicy requires, so every verified policy builds one
+        if not (body["policy_id"] and body["user_id"] and body["record_scope"]):
+            raise TransactionValidationError("policy_id, user_id, record_scope must be non-empty")
         if not (_is_int(body["valid_from"]) and _is_int(body["valid_until"])):
             raise TransactionValidationError("policy interval bounds must be integers")
         if body["valid_from"] > body["valid_until"]:
@@ -142,7 +163,9 @@ class Transaction:
 def has_valid_body(tx: Transaction) -> bool:
     """Does the transaction's kind and body pass its schema?  Readers of a
     leniently loaded, unverified ledger use this to skip what
-    :meth:`Ledger.verify_chain` would call corrupt."""
+    :meth:`Ledger.verify_chain` would call corrupt.  The schema is what the
+    readers need: a ``ConsentUpdate`` body that passes it builds an
+    ``access.AccessPolicy``, and every identifier is text."""
     try:
         _validate_body(tx.kind, tx.body)
     except TransactionValidationError:
@@ -199,15 +222,6 @@ class Block:
     # these and requires them to be the canonical encoding of the batch, so
     # any byte-level tampering, re-spacing included, is visible.
     payload_bytes: bytes = field(repr=False, default=b"")
-
-    def to_value(self) -> dict:
-        return {
-            "index": self.index,
-            "prev_hash": self.prev_hash,
-            "payload_hash": self.payload_hash,
-            "block_hash": self.block_hash,
-            "transactions": [tx.to_value() for tx in self.transactions],
-        }
 
 
 def _encode_transactions(txs: list[Transaction]) -> tuple[list[str], bytes]:
@@ -386,23 +400,50 @@ class Ledger:
         ]
 
 
+def _line_prefix(block_hash, index, payload_hash, prev_hash) -> bytes:
+    """A dump line up to its payload: the canonical block map's header
+    fields, which sort before ``transactions``, then ``"transactions":``."""
+    header = {
+        "block_hash": block_hash,
+        "index": index,
+        "payload_hash": payload_hash,
+        "prev_hash": prev_hash,
+    }
+    return canonicalize(header)[:-1] + b',"transactions":'
+
+
 def dump_ledger(ledger: Ledger) -> str:
-    """Line-delimited dump: one canonical block object per line, genesis first."""
-    return "".join(dumps(block.to_value()) + "\n" for block in ledger.blocks)
+    """Line-delimited dump: one block map per line, genesis first.
+
+    Each line is spliced from the header prefix, the block's stored
+    ``payload_bytes`` and ``}``; no transaction is encoded again.  For a
+    chain that verifies, that is the canonical encoding of each block.  A
+    block whose stored bytes were damaged is written as it is, so the dump
+    fails verification at that block as the chain in memory does.  Bytes
+    that are not UTF-8 become lone surrogates (the ``surrogateescape``
+    handler), and encoding the text with that handler gives back the stored
+    bytes exactly.
+    """
+    lines = []
+    for block in ledger.blocks:
+        prefix = _line_prefix(block.block_hash, block.index, block.payload_hash, block.prev_hash)
+        lines.append(prefix + block.payload_bytes + b"}\n")
+    return b"".join(lines).decode("utf-8", "surrogateescape")
 
 
 def _block_from_line(line: bytes) -> Block:
     """One dump line as a block whose payload bytes are the line's own bytes.
 
-    The line must start with the canonical encoding of its parsed header up
-    to ``"transactions":`` and end with ``}``; the payload bytes are what lies
-    between.  :meth:`Ledger.verify_chain` then requires them to be the
-    canonical encoding of the parsed transactions, so a line that is not
-    byte-for-byte canonical never verifies.
+    The line must start with :func:`_line_prefix` of its parsed header and
+    end with ``}``; the payload bytes are what lies between.
+    :meth:`Ledger.verify_chain` then requires them to be the canonical
+    encoding of the parsed transactions, so a line that is not byte-for-byte
+    canonical never verifies.
     """
     value = loads(line)
-    header = {key: value[key] for key in ("block_hash", "index", "payload_hash", "prev_hash")}
-    prefix = canonicalize(header)[:-1] + b',"transactions":'
+    prefix = _line_prefix(
+        value["block_hash"], value["index"], value["payload_hash"], value["prev_hash"]
+    )
     if not (line.startswith(prefix) and line.endswith(b"}")):
         raise NotationParseError("block line is not canonical around its payload")
     txs = [

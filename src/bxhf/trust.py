@@ -44,17 +44,15 @@ DEFAULT_WEIGHTS = (1.0 / 3.0, 1.0 / 3.0, 1.0 / 3.0)
 
 def verify_record(sealed_record, keys: crypto.KeyTable, registered_digest: str) -> bytes | None:
     """The stored record's plaintext bytes if it still authenticates and
-    matches its on-chain commitment digest, else None.  One decryption and
-    one hash: the commitment is checked over the decrypted bytes themselves,
-    so plaintext that is not the canonical encoding it was committed as
-    fails."""
+    matches its on-chain commitment digest, else None.  One hash over the
+    bytes of ``sealed_record.open(keys)`` (see ``harness.SealedRecord``),
+    which decrypts at most once however many checks read the record: the
+    commitment is checked over the decrypted bytes themselves, so plaintext
+    that is not the canonical encoding it was committed as fails."""
     if sealed_record.commitment.digest != registered_digest:
         return None
-    try:
-        plain = crypto.unseal_bytes(sealed_record.sealed, keys)
-    except (crypto.AuthenticationError, crypto.UnknownKeyError):
-        return None
-    return plain if sealed_record.commitment.matches(plain) else None
+    plain = sealed_record.open(keys)
+    return plain if plain is not None and sealed_record.commitment.matches(plain) else None
 
 
 @dataclass(frozen=True)

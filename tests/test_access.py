@@ -113,6 +113,8 @@ def test_policy_validation():
         _policy(valid_from=30, valid_until=20)
     with pytest.raises(ValueError):
         _policy(policy_id="")
+    with pytest.raises(ValueError):  # the ledger schema takes ids as text only
+        _policy(policy_id=5)
 
 
 def test_latest_wins_per_policy_id():

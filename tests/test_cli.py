@@ -4,7 +4,9 @@ from __future__ import annotations
 
 from pathlib import Path
 
-from bxhf import canon
+import pytest
+
+from bxhf import canon, crypto
 from bxhf.cli import main
 from bxhf.harness import LEDGER_FILE, REPORT_FILE, SCENARIO_FILE, WORLD_FILE
 
@@ -22,6 +24,15 @@ def _init_and_run(tmp_path: Path, profile: str = "demo", seed: int | None = None
 
 def _report(out: Path) -> dict:
     return canon.loads((out / REPORT_FILE).read_bytes())
+
+
+def _record_of(out: Path, decision: str) -> str:
+    return next(
+        tx["body"]["record_ref"]
+        for line in (out / LEDGER_FILE).read_text().splitlines()
+        for tx in canon.parse(line)["transactions"]
+        if tx["tx_id"] == decision
+    )
 
 
 def test_init_writes_parseable_scenarios(tmp_path):
@@ -66,13 +77,7 @@ def test_record_tamper_flags_decision_and_score(tmp_path, capsys):
     out = _init_and_run(tmp_path)
     report = _report(out)
     decision = report["decision_tx_ids"][0]
-    # find which record that decision refers to from its audit trail
-    rid = next(
-        tx["body"]["record_ref"]
-        for line in (out / LEDGER_FILE).read_text().splitlines()
-        for tx in canon.parse(line)["transactions"]
-        if tx["tx_id"] == decision
-    )
+    rid = _record_of(out, decision)
     assert main(["tamper", "--world", str(out), "--target", f"record:{rid}", "--offset", "2"]) == 0
     capsys.readouterr()
 
@@ -98,6 +103,99 @@ def test_explanation_tamper_flags_decision_and_explain(tmp_path, capsys):
 
     assert main(["verify-decision", "--world", str(out), "--decision", decision]) == 1
     assert "mismatch: explanation" in capsys.readouterr().out
+
+
+def test_each_command_opens_only_the_records_it_reads(tmp_path, capsys, monkeypatch):
+    out = _init_and_run(tmp_path)
+    decision = _report(out)["decision_tx_ids"][0]
+    records = len(canon.loads((out / WORLD_FILE).read_bytes())["records"])
+    opened = []
+    unseal_bytes = crypto.unseal_bytes
+
+    def counted(payload, keys):
+        opened.append(payload)
+        return unseal_bytes(payload, keys)
+
+    monkeypatch.setattr(crypto, "unseal_bytes", counted)
+    for argv, rc, opens in (
+        (["verify-decision", "--world", str(out), "--decision", decision], 0, 1),
+        (["explain", "--world", str(out), "--record", _record_of(out, decision)], 0, 0),
+        (["score", "--world", str(out)], 0, records),
+    ):
+        opened.clear()
+        assert main(argv) == rc
+        assert len(opened) == opens, argv[0]
+        assert len(set(opened)) == opens  # each record once
+
+
+def test_record_missing_a_feature_fails_score_not_other_decisions(tmp_path, capsys):
+    """A record resealed under its own key, its plaintext short of a
+    feature: it still authenticates, so ``score`` cannot build its row and
+    names the parse error, while a decision on another record replays."""
+    out = _init_and_run(tmp_path)
+    decisions = _report(out)["decision_tx_ids"]
+    damaged = _record_of(out, decisions[0])
+    other = next(d for d in decisions if _record_of(out, d) != damaged)
+    value = canon.loads((out / WORLD_FILE).read_bytes())
+    keys = crypto.KeyTable.from_value(value["keys"])
+    record = value["records"][damaged]["sealed"]
+    sealed = crypto.SealedPayload.from_value(record)
+    plaintext = crypto.unseal(sealed, keys)
+    del plaintext["features"][sorted(plaintext["features"])[0]]
+    resealed = crypto.seal(plaintext, sealed.key_id, keys, b"\x01" * crypto.NONCE_LEN)
+    value["records"][damaged]["sealed"] = resealed.to_value()
+    (out / WORLD_FILE).write_bytes(canon.canonicalize(value) + b"\n")
+    capsys.readouterr()
+
+    assert main(["score", "--world", str(out)]) == 1
+    assert "world.bx is not a saved world: KeyError" in capsys.readouterr().err
+    assert main(["verify-decision", "--world", str(out), "--decision", other]) == 0
+    assert capsys.readouterr().out == "valid\n"
+    assert main(["verify-decision", "--world", str(out), "--decision", decisions[0]]) == 1
+    assert capsys.readouterr().out == "mismatch: input\n"
+
+    # committed to as well, in world.bx and in the decision (no hash fixed):
+    # the replay cannot read the record, which is still an input mismatch
+    commitment = crypto.commit(plaintext, b"\x02" * crypto.SALT_LEN)
+    value["records"][damaged]["commitment"] = commitment.to_value()
+    (out / WORLD_FILE).write_bytes(canon.canonicalize(value) + b"\n")
+    lines = (out / LEDGER_FILE).read_bytes().split(b"\n")
+    index = next(i for i, line in enumerate(lines) if decisions[0].encode() in line)
+    old_digest = canon.loads(lines[index])["transactions"][-1]["body"]["input_commitment"]
+    lines[index] = lines[index].replace(old_digest.encode(), commitment.digest.encode())
+    (out / LEDGER_FILE).write_bytes(b"\n".join(lines))
+    assert main(["verify-decision", "--world", str(out), "--decision", decisions[0]]) == 1
+    assert capsys.readouterr().out == "mismatch: input\n"
+
+
+@pytest.mark.parametrize(
+    "path, value",
+    [
+        (("sealed", "ciphertext"), "text"),
+        (("sealed", "key_id"), 7),
+        (("commitment", "salt"), "text"),
+        (("institution_id",), 5),
+    ],
+    ids=["ciphertext", "key-id", "salt", "institution"],
+)
+def test_record_not_shaped_like_a_sealed_record_is_a_parse_error(tmp_path, capsys, path, value):
+    out = _init_and_run(tmp_path)
+    decision = _report(out)["decision_tx_ids"][0]
+    rid = _record_of(out, decision)
+    world = canon.loads((out / WORLD_FILE).read_bytes())
+    holder = world["records"][rid]
+    for key in path[:-1]:
+        holder = holder[key]
+    holder[path[-1]] = value
+    (out / WORLD_FILE).write_bytes(canon.canonicalize(world) + b"\n")
+    capsys.readouterr()
+    for argv in (
+        ["verify-decision", "--world", str(out), "--decision", decision],
+        ["explain", "--world", str(out), "--record", rid],
+        ["score", "--world", str(out)],
+    ):
+        assert main(argv) == 1
+        assert "world.bx is not a saved world" in capsys.readouterr().err
 
 
 def test_verify_decision_valid_and_unknown(tmp_path, capsys):

@@ -15,12 +15,16 @@ from bxhf.crypto import (
     UnknownKeyError,
     ZERO_HASH,
     commit,
+    commit_bytes,
     digest,
     digest_value,
     seal,
+    seal_bytes,
     unseal,
+    unseal_bytes,
     verify_commit,
 )
+from bxhf.canon import canonicalize
 
 # FIPS 180-2 test vectors.
 SHA256_EMPTY = "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
@@ -80,6 +84,22 @@ def test_seal_unseal_round_trip():
     assert payload.key_id == "k-a"
     assert len(payload.auth_tag) == 16
     assert payload.ciphertext[:NONCE_LEN] == b"\x00" * NONCE_LEN
+
+
+def test_byte_forms_are_the_value_forms_over_canonical_bytes():
+    keys = _table()
+    value = {"record_id": "r9", "features": {"hr": 61.5}, "outcome": 0.0}
+    encoded = canonicalize(value)
+    salt, nonce = b"\x05" * SALT_LEN, b"\x09" * NONCE_LEN
+    assert commit_bytes(encoded, salt) == commit(value, salt)
+    assert commit_bytes(encoded, salt).matches(encoded)
+    sealed = seal_bytes(encoded, "k-a", keys, nonce)
+    assert sealed == seal(value, "k-a", keys, nonce)
+    assert unseal_bytes(sealed, keys) == encoded
+    with pytest.raises(ValueError):
+        commit_bytes(encoded, b"short")
+    with pytest.raises(ValueError):
+        seal_bytes(encoded, "k-a", keys, b"short")
 
 
 def test_seal_is_deterministic_given_nonce():

@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+from bxhf.access import AccessPolicy
 from bxhf.canon import NotationParseError, canonicalize, dumps, loads
 from bxhf.crypto import ZERO_HASH, digest, digest_value
 from bxhf.ledger import (
@@ -15,9 +16,11 @@ from bxhf.ledger import (
     Transaction,
     TransactionValidationError,
     _encode_transactions,
+    _is_hash,
     _tx_digest,
     build_transaction,
     dump_ledger,
+    has_valid_body,
     load_ledger,
     load_ledger_lenient,
     verify_dump,
@@ -284,6 +287,11 @@ def _consent(clock: LogicalClock) -> Transaction:
         lambda tv: tv["body"].update(valid_until=10.0),
         lambda tv: tv.update(body=7),
         lambda tv: tv.update(kind=["ConsentUpdate"]),
+        lambda tv: tv["body"].update(purpose="surgery"),
+        lambda tv: tv["body"].update(policy_id=""),
+        lambda tv: tv["body"].update(policy_id=[1]),
+        lambda tv: tv["body"].update(record_scope=""),
+        lambda tv: tv["body"].update(user_id=7),
     ],
     ids=[
         "str-logical-time",
@@ -293,6 +301,11 @@ def _consent(clock: LogicalClock) -> Transaction:
         "float-valid-until",
         "int-body",
         "list-kind",
+        "unknown-purpose",
+        "empty-policy-id",
+        "list-policy-id",
+        "empty-record-scope",
+        "int-user-id",
     ],
 )
 def test_mistyped_fields_are_schema_failures_at_their_block(edit):
@@ -303,6 +316,77 @@ def test_mistyped_fields_are_schema_failures_at_their_block(edit):
     forged = _forge(chain, 2, edit)
     assert forged.verify_chain() == 2
     assert verify_dump(dump_ledger(forged)) == 2
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("policy_id", ""),
+        ("policy_id", [1]),
+        ("user_id", ""),
+        ("user_id", None),
+        ("record_scope", ""),
+        ("record_scope", 3),
+        ("purpose", "surgery"),
+        ("purpose", ["research"]),
+    ],
+)
+def test_consent_body_passing_its_schema_builds_a_policy(field, value):
+    good = _consent(LogicalClock()).body
+    assert has_valid_body(Transaction("0" * 64, "ConsentUpdate", "a", 1, good))
+    AccessPolicy.from_value(good)
+    bad = dict(good, **{field: value})
+    assert not has_valid_body(Transaction("0" * 64, "ConsentUpdate", "a", 1, bad))
+
+
+@pytest.mark.parametrize(
+    "kind, field, value",
+    [
+        ("DataRegistration", "record_id", [1]),
+        ("DataRegistration", "institution_id", 5),
+        ("AccessDecision", "record_id", [1]),
+        ("AccessDecision", "purpose", "surgery"),
+        ("ModelUpdate", "node_id", None),
+        ("DecisionRecord", "record_ref", [1]),
+    ],
+)
+def test_identifiers_must_be_text_and_purposes_known(kind, field, value):
+    bodies = {
+        "DataRegistration": {"record_id": "r", "institution_id": "a", "commitment": "0" * 64},
+        "AccessDecision": {
+            "user_id": "u",
+            "record_id": "r",
+            "purpose": "audit",
+            "outcome": "deny",
+            "reason": "no_policy",
+        },
+        "ModelUpdate": {"node_id": "a", "round": 0, "delta_digest": "0" * 64},
+        "DecisionRecord": {
+            "record_ref": "r",
+            "input_commitment": "0" * 64,
+            "model_hash": "0" * 64,
+            "prediction_hash": "0" * 64,
+            "explanation_hash": "0" * 64,
+        },
+    }
+    build_transaction(kind, "a", 1, bodies[kind])
+    with pytest.raises(TransactionValidationError, match=field):
+        build_transaction(kind, "a", 1, dict(bodies[kind], **{field: value}))
+
+
+def test_hash_fields_are_64_lowercase_ascii_hex():
+    assert _is_hash("0123456789abcdef" * 4)
+    for value in (
+        "0" * 63,
+        "0" * 65,
+        "0" * 63 + "A",
+        "0" * 63 + "g",
+        "0" * 63 + "\u0660",  # ARABIC-INDIC DIGIT ZERO
+        "0" * 64 + "\n",
+        b"0" * 64,
+        None,
+    ):
+        assert not _is_hash(value), value
 
 
 def test_non_integer_block_index_is_corrupt():
@@ -392,6 +476,22 @@ def test_re_spaced_line_is_damage_at_its_block():
     # outside the payload bytes, re-spacing is damage already when loading
     with pytest.raises(NotationParseError, match="block 2"):
         load_ledger(b"\n".join(lines[:2] + [respacings[0](lines[2])] + lines[3:]))
+
+
+def test_dump_writes_the_stored_payload_bytes():
+    text = dump_ledger(_chain_with_blocks(3))
+    lines = text.split("\n")
+    lines[2] = lines[2].replace(',"tx_id"', ', "tx_id"')  # inside the payload
+    re_spaced = "\n".join(lines)
+    loaded = load_ledger(re_spaced)
+    assert dump_ledger(loaded) == re_spaced
+    assert verify_dump(dump_ledger(loaded)) == loaded.verify_chain() == 2
+
+    # bytes that are not UTF-8 survive the text round trip exactly
+    loaded.blocks[1].payload_bytes = loaded.blocks[1].payload_bytes.replace(b"[", b"[\xff", 1)
+    data = dump_ledger(loaded).encode("utf-8", "surrogateescape")
+    assert data.split(b"\n")[1].endswith(loaded.blocks[1].payload_bytes + b"}")
+    assert verify_dump(data) == loaded.verify_chain() == 1
 
 
 def test_dump_lines_split_on_newline_only():

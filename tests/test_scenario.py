@@ -125,6 +125,9 @@ def test_policy_field_errors_carry_path():
     value = _minimal()
     value["policies"][0]["purpose"] = "marketing"
     _expect_error(value, "policies[0]")
+    value = _minimal()
+    value["policies"][0]["policy_id"] = 5  # the ledger takes ids as text only
+    _expect_error(value, "policies[0]")
 
 
 def test_request_record_and_purpose_checked():

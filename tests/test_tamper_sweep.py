@@ -12,7 +12,9 @@ were all recomputed, and damage in two places at once.
 ``score`` must agree with ``verify-chain`` on a damaged ledger, ``audit``
 (which does not verify) must print no traceback for a forged one, neither
 may ``score``, ``verify-decision`` or ``explain`` for a transaction body that
-fails its schema, and a seeded sample of flips of the demo ``world.bx`` must
+fails its schema, a body the readers cannot use must fail that schema even
+with every hash recomputed, a block damaged in memory must stay damaged in
+the saved file, and a seeded sample of flips of the demo ``world.bx`` must
 give every reading command an exit code, never a traceback.
 """
 
@@ -27,8 +29,17 @@ import pytest
 from bxhf.canon import canonicalize, dumps, dumps_pretty, loads, parse
 from bxhf.cli import main
 from bxhf.crypto import digest, digest_value
-from bxhf.harness import LEDGER_FILE, REPORT_FILE, WORLD_FILE
+from bxhf.harness import (
+    LEDGER_FILE,
+    REPORT_FILE,
+    WORLD_FILE,
+    build_scenario,
+    run_workflow,
+    save_world,
+    tamper,
+)
 from bxhf.ledger import _tx_digest, verify_dump
+from bxhf.scenario import demo_profile, validate_config
 
 SAMPLED_BYTES = 32  # each flipped on all 8 bits
 
@@ -111,18 +122,30 @@ def test_re_spaced_line_is_rejected_at_its_block(ledger, respace, tmp_path, caps
         assert _verify_chain_cli(data, tmp_path, capsys) == (1, f"corrupt at block {block}\n")
 
 
+def _rehash_from(lines: list[bytes], index: int) -> None:
+    """Recompute the tx ids of block ``index`` and every hash and link from
+    it to the head, as a forger who knows the format would."""
+    blocks = [loads(line) for line in lines[:-1]]
+    for tx in blocks[index]["transactions"]:
+        tx["tx_id"] = _tx_digest(tx["kind"], tx["actor"], tx["logical_time"], tx["body"])
+    for i in range(index, len(blocks)):
+        block = blocks[i]
+        block["prev_hash"] = blocks[i - 1]["block_hash"]
+        block["payload_hash"] = digest(canonicalize(block["transactions"]))
+        block["block_hash"] = digest_value(
+            {key: block[key] for key in ("index", "prev_hash", "payload_hash")}
+        )
+        lines[i] = dumps(block).encode()
+
+
 def test_string_logical_time_with_recomputed_hashes_is_corrupt(world_dir, ledger, tmp_path, capsys):
     lines = ledger.split(b"\n")
     last = len(lines) - 2
     block = loads(lines[last])
     tx = block["transactions"][0]
     tx["logical_time"] = str(tx["logical_time"])
-    tx["tx_id"] = _tx_digest(tx["kind"], tx["actor"], tx["logical_time"], tx["body"])
-    block["payload_hash"] = digest(canonicalize(block["transactions"]))
-    block["block_hash"] = digest_value(
-        {key: block[key] for key in ("index", "prev_hash", "payload_hash")}
-    )
     lines[last] = dumps(block).encode()
+    _rehash_from(lines, last)
     data = b"\n".join(lines)
     assert verify_dump(data) == last
     assert _verify_chain_cli(data, tmp_path, capsys) == (1, f"corrupt at block {last}\n")
@@ -256,6 +279,68 @@ def test_body_failing_its_schema_is_skipped_not_read(
     assert main(["verify-decision", "--world", str(world), "--decision", decision]) == decision_rc
     assert capsys.readouterr().out == ("valid\n" if decision_rc == 0 else "mismatch: input\n")
     assert main(["explain", "--world", str(world), "--record", "st-marys-r000"]) == 0
+
+
+@pytest.mark.parametrize("rehash", [False, True], ids=["unhashed", "rehashed"])
+@pytest.mark.parametrize(
+    "kind, field, value",
+    [
+        ("DataRegistration", "record_id", [1]),
+        ("DecisionRecord", "record_ref", [1]),
+        ("ConsentUpdate", "purpose", "surgery"),
+        ("ConsentUpdate", "policy_id", ""),
+    ],
+    ids=["registration-record-id", "decision-record-ref", "consent-purpose", "consent-policy-id"],
+)
+def test_body_the_readers_cannot_use_fails_its_schema(
+    world_dir, ledger, kind, field, value, rehash, tmp_path, capsys
+):
+    """Each of these once made a reading command raise (``TypeError`` or
+    ``ValueError``), and with every hash recomputed ``verify-chain`` called
+    the chain valid."""
+    lines = ledger.split(b"\n")
+    index, block = next(
+        (i, block)
+        for i, block in enumerate(loads(line) for line in lines[:-1])
+        if any(tx["kind"] == kind for tx in block["transactions"])
+    )
+    next(tx for tx in block["transactions"] if tx["kind"] == kind)["body"][field] = value
+    lines[index] = dumps(block).encode()
+    if rehash:
+        _rehash_from(lines, index)
+    data = b"\n".join(lines)
+    world = tmp_path / "world"
+    shutil.copytree(world_dir, world)
+    (world / LEDGER_FILE).write_bytes(data)
+    decision = loads((world_dir / REPORT_FILE).read_bytes())["decision_tx_ids"][0]
+
+    assert verify_dump(data) == index
+    assert _verify_chain_cli(data, tmp_path, capsys) == (1, f"corrupt at block {index}\n")
+    assert main(["score", "--world", str(world)]) == 1
+    assert '"integrity": 0.0' in capsys.readouterr().out
+    assert main(["verify-decision", "--world", str(world), "--decision", decision]) in (0, 1, 2)
+    assert main(["explain", "--world", str(world), "--record", "st-marys-r000"]) == 0
+
+
+def test_block_damaged_in_memory_stays_damaged_on_disk(tmp_path, capsys):
+    world = build_scenario(validate_config(demo_profile()))
+    run_workflow(world)
+    tamper(world, ("block", 4), 7)
+    assert world.ledger.verify_chain() == 4
+    save_world(world, tmp_path / "flipped")
+    assert _verify_chain_cli(
+        (tmp_path / "flipped" / LEDGER_FILE).read_bytes(), tmp_path, capsys
+    ) == (1, "corrupt at block 4\n")
+
+    # stored bytes that are not UTF-8 are written as they are
+    world = build_scenario(validate_config(demo_profile()))
+    run_workflow(world)
+    block = world.ledger.blocks[6]
+    block.payload_bytes = block.payload_bytes[:9] + b"\xff" + block.payload_bytes[10:]
+    save_world(world, tmp_path / "high-bit")
+    data = (tmp_path / "high-bit" / LEDGER_FILE).read_bytes()
+    assert data.split(b"\n")[6].endswith(block.payload_bytes + b"}")
+    assert _verify_chain_cli(data, tmp_path, capsys) == (1, "corrupt at block 6\n")
 
 
 WORLD_FLIPS = 96
