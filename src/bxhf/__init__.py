@@ -23,7 +23,6 @@ from .canon import (
     NotationParseError,
     canonicalize,
     dumps,
-    dumps_pretty,
     loads,
     parse,
 )

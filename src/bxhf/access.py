@@ -70,6 +70,8 @@ class AccessPolicy:
             )
         if self.purpose not in PURPOSES:
             raise ValueError(f"policy {self.policy_id!r}: unknown purpose {self.purpose!r}")
+        if not isinstance(self.granted, bool):
+            raise ValueError(f"policy {self.policy_id!r}: granted must be true or false")
 
     def to_value(self) -> dict:
         return {

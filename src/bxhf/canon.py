@@ -13,24 +13,22 @@ bit-exact and independent of insertion order, locale, or float formatting:
   ``\\u00xx``; everything else is emitted as itself.  Lone surrogates have
   no UTF-8 encoding and raise :class:`CanonicalizationError`.
 
-The parser accepts the strict form plus two input conveniences: whitespace
-between tokens, and ordinary decimal float literals (``0.05``, ``1e-3``),
-which makes the same notation usable for hand-written scenario config files.
-Serializing a parsed value reproduces a strictly canonical document, so
-canonical files round-trip byte-identically through load -> dump.
-
-The accepted grammar is otherwise lenient, and kept as it is until a strict
-mode exists: raw control characters inside strings, ``\\u`` escapes read by
-``int(..., 16)`` (so ``"\\u 0041"`` is ``\\x04`` then ``1``), uppercase hex and
-whitespace inside ``b"..."`` and ``f"..."``, ``-0``, leading zeros, digits
-that ``str.isdigit`` accepts, and duplicate map keys (the last one wins).
+The parser reads exactly that form and nothing else, so every value has one
+accepted encoding and ``canonicalize(loads(b)) == b`` for every ``b`` that
+:func:`loads` accepts.  Its grammar: one value and no whitespace anywhere;
+map keys in strictly increasing code point order (so no key twice); integers
+``0|-?[1-9][0-9]*`` in ASCII digits; ``true`` and ``false``; strings with no
+raw character below U+0020 and no lone surrogate, whose only escapes are the
+ones above, with lowercase hex in ``\\u00xx``; ``b"..."`` holding lowercase hex
+of even length; and ``f"..."`` holding exactly 16 lowercase hex digits of a
+finite float.  Hand-written scenario files are JSON, read by
+:mod:`bxhf.scenario`.
 
 Both directions do their per-character work in compiled regexes: a string
 with nothing to escape is emitted as one slice, and the parser takes runs of
-unescaped text, whitespace and numbers in one match each.  Only escapes and
-numbers with non-ASCII digits take a per-character path.  Every malformed
-input raises :class:`NotationParseError` naming its offset, including nesting
-deeper than :data:`MAX_DEPTH` containers, which no bxhf file comes near.
+unescaped text in one match each.  Every input outside the grammar raises
+:class:`NotationParseError` naming its offset, including nesting deeper than
+:data:`MAX_DEPTH` containers, which no bxhf file comes near.
 """
 
 from __future__ import annotations
@@ -45,7 +43,6 @@ __all__ = [
     "NotationParseError",
     "canonicalize",
     "dumps",
-    "dumps_pretty",
     "loads",
     "parse",
 ]
@@ -134,63 +131,17 @@ def canonicalize(value) -> bytes:
     return dumps(value).encode("utf-8")
 
 
-def _emit_pretty(value, out: list[str], indent: int, level: int) -> None:
-    pad = " " * (indent * (level + 1))
-    close_pad = " " * (indent * level)
-    if isinstance(value, float) and math.isfinite(value):
-        # Config files carry floats as decimal literals; repr round-trips.
-        out.append(repr(value))
-    elif isinstance(value, dict) and value:
-        out.append("{\n")
-        keys = sorted(value.keys())
-        for i, key in enumerate(keys):
-            out.append(pad)
-            _emit_string(key, out)
-            out.append(": ")
-            _emit_pretty(value[key], out, indent, level + 1)
-            out.append(",\n" if i + 1 < len(keys) else "\n")
-        out.append(close_pad + "}")
-    elif isinstance(value, (list, tuple)) and value and any(
-        isinstance(item, (dict, list, tuple)) for item in value
-    ):
-        out.append("[\n")
-        for i, item in enumerate(value):
-            out.append(pad)
-            _emit_pretty(item, out, indent, level + 1)
-            out.append(",\n" if i + 1 < len(value) else "\n")
-        out.append(close_pad + "]")
-    elif isinstance(value, (list, tuple)) and value:
-        out.append("[")
-        for i, item in enumerate(value):
-            if i:
-                out.append(", ")
-            _emit_pretty(item, out, indent, level + 1)
-        out.append("]")
-    else:
-        _emit(value, out)
-
-
-def dumps_pretty(value, indent: int = 2) -> str:
-    """Human-oriented rendering of the same notation (parses back to the same
-    value; not the canonical byte form)."""
-    out: list[str] = []
-    _emit_pretty(value, out, indent, 0)
-    out.append("\n")
-    return "".join(out)
-
-
 # The parser: one scan function per production, each taking the text and the
-# offset to start at and returning ``(value, offset after it)``.
+# offset to start at and returning ``(value, offset after it)``.  Each accepts
+# only the form ``_emit`` writes.
 
-_WHITESPACE = " \t\r\n"
-_WHITESPACE_RUN = re.compile(r"[ \t\r\n]*")
-_NEXT_CHAR = re.compile(r"[ \t\r\n]*(.?)", re.DOTALL)
-_PLAIN_STRING_TAIL = re.compile(r'([^"\\]*)"')
-_UNESCAPED_RUN = re.compile(r'[^"\\]*')
-_PLAIN_KEY = re.compile(r'[ \t\r\n]*"([^"\\]*)"[ \t\r\n]*:')
-_TEXT_MEMBER = re.compile(r'[ \t\r\n]*"([^"\\]*)"[ \t\r\n]*:[ \t\r\n]*"([^"\\]*)"[ \t\r\n]*([,}])')
-_NUMBER = re.compile(r"-?[0-9]*(\.[0-9]*)?([eE][-+]?[0-9]*)?")
-_UNESCAPES = {"n": "\n", "t": "\t", "r": "\r", '"': '"', "\\": "\\"}
+_TEXT_RUN = r'[^"\\\x00-\x1f\ud800-\udfff]*'
+_PLAIN_STRING_TAIL = re.compile(f'({_TEXT_RUN})"')
+_UNESCAPED_RUN = re.compile(_TEXT_RUN)
+_PLAIN_KEY = re.compile(f'"({_TEXT_RUN})":')
+_TEXT_MEMBER = re.compile(f'"({_TEXT_RUN})":"({_TEXT_RUN})"([,}}])')
+_INTEGER = re.compile(r"-?[1-9][0-9]*|0")
+_UNESCAPES = {esc: ch for ch, esc in _ESCAPES.items()}
 
 
 def _error(message: str, pos: int) -> NotationParseError:
@@ -200,9 +151,6 @@ def _error(message: str, pos: int) -> NotationParseError:
 def _scan_value(s: str, pos: int, depth: int):
     try:
         ch = s[pos]
-        if ch in _WHITESPACE:
-            pos = _WHITESPACE_RUN.match(s, pos).end()
-            ch = s[pos]
     except IndexError:
         raise _error("unexpected end of input", pos) from None
     if ch == '"':
@@ -212,7 +160,7 @@ def _scan_value(s: str, pos: int, depth: int):
     if ch == "[":
         return _scan_list(s, pos + 1, depth + 1)
     if "0" <= ch <= "9" or ch == "-":
-        return _scan_number(s, pos)
+        return _scan_integer(s, pos)
     if ch == "f" and s.startswith('f"', pos):
         return _scan_hex_float(s, pos + 2)
     if ch == "b" and s.startswith('b"', pos):
@@ -221,8 +169,6 @@ def _scan_value(s: str, pos: int, depth: int):
         return True, pos + 4
     if ch == "f" and s.startswith("false", pos):
         return False, pos + 5
-    if ch.isdigit():
-        return _scan_number_per_char(s, pos)
     raise _error(f"unexpected character {ch!r}", pos)
 
 
@@ -230,59 +176,58 @@ def _scan_map(s: str, pos: int, depth: int):
     if depth > MAX_DEPTH:
         raise _error(f"nesting deeper than {MAX_DEPTH}", pos - 1)
     result: dict = {}
-    first = _NEXT_CHAR.match(s, pos)
-    if first.group(1) == "}":
-        return result, first.end()
-    if not first.group(1):
-        raise _error("unexpected end of input", first.end())
+    if s.startswith("}", pos):
+        return result, pos + 1
+    last = None
     while True:
+        start = pos
         # Most members are a plain key, a plain text value and a separator.
         member = _TEXT_MEMBER.match(s, pos)
         if member is not None:
-            key, result[key], ch = member.group(1, 2, 3)
+            key, value, ch = member.group(1, 2, 3)
             pos = member.end()
         else:
             key_match = _PLAIN_KEY.match(s, pos)
             if key_match is not None:
                 key, pos = key_match.group(1), key_match.end()
             else:
-                pos = _WHITESPACE_RUN.match(s, pos).end()
-                if s[pos : pos + 1] != '"':
-                    raise _error("expected '\"'", pos)
+                if not s.startswith('"', pos):
+                    raise _error("expected '\"'" if pos < len(s) else "unexpected end of input", pos)
                 key, pos = _scan_string(s, pos + 1)
-                pos = _WHITESPACE_RUN.match(s, pos).end()
-                if s[pos : pos + 1] != ":":
+                if not s.startswith(":", pos):
                     raise _error("expected ':'", pos)
                 pos += 1
-            result[key], pos = _scan_value(s, pos, depth)
-            after = _NEXT_CHAR.match(s, pos)
-            ch, pos = after.group(1), after.end()
+            value, pos = _scan_value(s, pos, depth)
+            ch = s[pos : pos + 1]
+            pos += 1
+        # strictly increasing keys: sorted, and no key twice
+        if last is not None and key <= last:
+            raise _error(f"map key {key!r} out of order", start)
+        result[key] = value
+        last = key
         if ch == ",":
             continue
         if ch == "}":
             return result, pos
-        raise _error("expected ',' or '}' in map" if ch else "unexpected end of input", pos)
+        raise _error("expected ',' or '}' in map" if ch else "unexpected end of input", pos - 1)
 
 
 def _scan_list(s: str, pos: int, depth: int):
     if depth > MAX_DEPTH:
         raise _error(f"nesting deeper than {MAX_DEPTH}", pos - 1)
     result: list = []
-    first = _NEXT_CHAR.match(s, pos)
-    if first.group(1) == "]":
-        return result, first.end()
-    if not first.group(1):
-        raise _error("unexpected end of input", first.end())
+    if s.startswith("]", pos):
+        return result, pos + 1
     while True:
         value, pos = _scan_value(s, pos, depth)
         result.append(value)
-        after = _NEXT_CHAR.match(s, pos)
-        ch, pos = after.group(1), after.end()
+        ch = s[pos : pos + 1]
+        pos += 1
         if ch == ",":
             continue
         if ch == "]":
             return result, pos
-        raise _error("expected ',' or ']' in list" if ch else "unexpected end of input", pos)
+        raise _error("expected ',' or ']' in list" if ch else "unexpected end of input", pos - 1)
 
 
 def _scan_string(s: str, pos: int):
@@ -294,26 +239,23 @@ def _scan_string(s: str, pos: int):
     while True:
         end = _UNESCAPED_RUN.match(s, pos).end()
         chunks.append(s[pos:end])
-        if end >= len(s):
-            raise _error("unterminated string", end)
-        pos = end + 1
-        if s[end] == '"':
-            return "".join(chunks), pos
-        esc = s[pos : pos + 1]
-        pos += 1
-        if esc in _UNESCAPES:
-            chunks.append(_UNESCAPES[esc])
-        elif esc == "u":
-            code = s[pos : pos + 4]
-            if len(code) < 4:
-                raise _error("truncated \\u escape", pos)
-            try:
-                chunks.append(chr(int(code, 16)))
-            except ValueError:
-                raise _error(f"invalid \\u escape {code!r}", pos) from None
-            pos += 4
-        else:
-            raise _error(f"invalid escape \\{esc}", pos)
+        ch = s[end : end + 1]
+        if ch == '"':
+            return "".join(chunks), end + 1
+        if ch != "\\":
+            raise _error(f"invalid character {ch!r} in string" if ch else "unterminated string", end)
+        esc = s[end : end + 6] if s.startswith("\\u", end) else s[end : end + 2]
+        char = _UNESCAPES.get(esc)
+        if char is None:
+            if esc[1:2] != "u":
+                message = f"invalid escape {esc}"
+            elif len(esc) < 6:
+                message = "truncated \\u escape"
+            else:
+                message = f"invalid \\u escape {esc[2:]!r}"
+            raise _error(message, end + 2)
+        chunks.append(char)
+        pos = end + len(esc)
 
 
 def _scan_hex_float(s: str, pos: int):
@@ -326,64 +268,41 @@ def _scan_hex_float(s: str, pos: int):
         raise _error(f"invalid float bit pattern {digits!r}", pos) from None
     if s[pos + 16 : pos + 17] != '"':
         raise _error("expected '\"'", pos + 16)
-    if len(raw) != 8:
+    if raw.hex() != digits:
         raise _error(f"invalid float bit pattern {digits!r}", pos)
-    return _unpack_double(raw)[0], pos + 17
+    value = _unpack_double(raw)[0]
+    if not math.isfinite(value):
+        raise _error(f"non-finite float {digits!r}", pos)
+    return value, pos + 17
 
 
 def _scan_bytes(s: str, pos: int):
     end = s.find('"', pos)
     if end < 0:
         raise _error("unterminated byte string", pos)
+    digits = s[pos:end]
     try:
-        raw = bytes.fromhex(s[pos:end])
+        raw = bytes.fromhex(digits)
     except ValueError:
-        raise _error("byte string must be lowercase hex", pos) from None
+        raw = None
+    if raw is None or raw.hex() != digits:
+        raise _error("byte string must be lowercase hex", pos)
     return raw, end + 1
 
 
-def _number_value(token: str, is_float: bool, end: int):
+def _scan_integer(s: str, pos: int):
+    match = _INTEGER.match(s, pos)
+    if match is None:
+        raise _error("invalid number", pos)
     try:
-        return (float(token) if is_float else int(token)), end
-    except ValueError:
-        raise _error(f"invalid number {token!r}", end) from None
-
-
-def _scan_number(s: str, pos: int):
-    match = _NUMBER.match(s, pos)
-    end = match.end()
-    if end < len(s) and s[end] > "\x7f" and s[end].isdigit():
-        return _scan_number_per_char(s, pos)
-    return _number_value(match.group(), match.lastindex is not None, end)
-
-
-def _scan_number_per_char(s: str, pos: int):
-    """Numbers holding non-ASCII characters that ``str.isdigit`` accepts."""
-    start = pos
-    if s[pos] == "-":
-        pos += 1
-    while pos < len(s) and s[pos].isdigit():
-        pos += 1
-    is_float = False
-    if s[pos : pos + 1] == ".":
-        is_float = True
-        pos += 1
-        while pos < len(s) and s[pos].isdigit():
-            pos += 1
-    if s[pos : pos + 1] in ("e", "E"):
-        is_float = True
-        pos += 1
-        if s[pos : pos + 1] in ("+", "-"):
-            pos += 1
-        while pos < len(s) and s[pos].isdigit():
-            pos += 1
-    return _number_value(s[start:pos], is_float, pos)
+        return int(match.group()), match.end()
+    except ValueError:  # more digits than int() converts
+        raise _error("integer too long", pos) from None
 
 
 def parse(text: str):
-    """Parse canonical object notation (whitespace-insensitive on input)."""
+    """Parse text in strict canonical notation: exactly what :func:`dumps` writes."""
     value, pos = _scan_value(text, 0, 0)
-    pos = _WHITESPACE_RUN.match(text, pos).end()
     if pos != len(text):
         raise _error("trailing content after value", pos)
     return value

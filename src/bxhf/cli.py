@@ -7,6 +7,7 @@ corruption detected; 2 usage or config error.
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 from pathlib import Path
 
@@ -15,7 +16,14 @@ from .access import IntegrityAlarmError
 from .canon import CanonicalizationError, NotationParseError
 from .explain import Explanation
 from .ledger import load_ledger, verify_dump
-from .scenario import ConfigError, demo_profile, rare_disease_profile, validate_config
+from .scenario import (
+    ConfigError,
+    demo_profile,
+    dump_scenario,
+    parse_scenario,
+    rare_disease_profile,
+    validate_config,
+)
 
 PROFILES = {"demo": demo_profile, "rare-disease": rare_disease_profile}
 
@@ -24,17 +32,13 @@ def _cmd_init(args) -> int:
     value = PROFILES[args.profile]()
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
-    out.write_text(canon.dumps_pretty(value))
+    out.write_text(dump_scenario(value))
     print(f"wrote {args.profile} scenario to {out}")
     return 0
 
 
 def _cmd_run(args) -> int:
-    try:
-        value = canon.parse(Path(args.scenario).read_text())
-    except NotationParseError as exc:
-        print(f"scenario does not parse: {exc}", file=sys.stderr)
-        return 2
+    value = parse_scenario(Path(args.scenario).read_bytes())
     if args.seed is not None:
         if not isinstance(value, dict):
             print("scenario must be a mapping", file=sys.stderr)
@@ -141,7 +145,7 @@ def _cmd_tamper(args) -> int:
         return 0
 
     path = base / harness.WORLD_FILE
-    value = canon.loads(path.read_bytes())
+    value = harness.read_canonical(path)
     try:
         if kind == "record":
             holder = value["records"][key]["sealed"]
@@ -159,7 +163,7 @@ def _cmd_tamper(args) -> int:
     except IndexError as exc:
         print(str(exc), file=sys.stderr)
         return 2
-    path.write_bytes(canon.canonicalize(value) + b"\n")
+    harness.write_canonical(path, value)
     print(f"flipped bit at byte {args.offset} of {kind} {key}")
     return 0
 
@@ -167,7 +171,12 @@ def _cmd_tamper(args) -> int:
 def _cmd_score(args) -> int:
     world = harness.load_world(args.world)
     result = harness.score_world(world)
-    sys.stdout.write(canon.dumps_pretty(result))
+    try:
+        text = json.dumps(result, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError as exc:  # a non-finite objective
+        print(f"score cannot be printed: {exc}", file=sys.stderr)
+        return 1
+    print(text)
     security = result["security"]
     clean = all(
         security[part] == 1.0 for part in ("integrity", "provenance", "auditability")

@@ -44,7 +44,13 @@ from .ledger import (
     has_valid_body,
     load_ledger_lenient,
 )
-from .scenario import ScenarioConfig, generate_records, load_config, validate_config
+from .scenario import (
+    ScenarioConfig,
+    dump_scenario,
+    generate_records,
+    load_config,
+    validate_config,
+)
 from .trust import security_score, trust_objective, verify_record
 
 __all__ = [
@@ -55,11 +61,13 @@ __all__ = [
     "build_scenario",
     "flip_bit",
     "load_world",
+    "read_canonical",
     "run_workflow",
     "save_world",
     "score_world",
     "tamper",
     "verify_decision",
+    "write_canonical",
 ]
 
 SCENARIO_FILE = "scenario.bx"
@@ -551,15 +559,29 @@ def world_value(world: WorldState) -> dict:
     return value
 
 
+def write_canonical(path: Path, value) -> None:
+    """Save a value as its canonical bytes plus one ``"\\n"``."""
+    path.write_bytes(canon.canonicalize(value) + b"\n")
+
+
+def read_canonical(path: Path):
+    """The value of a file :func:`write_canonical` saved: the file must be
+    canonical bytes followed by exactly one ``"\\n"``, which is stripped."""
+    data = path.read_bytes()
+    if not data.endswith(b"\n"):
+        raise canon.NotationParseError(f"{path.name} does not end in a newline")
+    return canon.loads(data[:-1])
+
+
 def save_world(world: WorldState, out_dir: str | Path) -> Path:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    (out / SCENARIO_FILE).write_text(canon.dumps_pretty(world.config.raw))
+    (out / SCENARIO_FILE).write_text(dump_scenario(world.config.raw))
     # the stored payload bytes exactly, damaged or not UTF-8 included
     (out / LEDGER_FILE).write_bytes(dump_ledger(world.ledger).encode("utf-8", "surrogateescape"))
-    (out / WORLD_FILE).write_bytes(canon.canonicalize(world_value(world)) + b"\n")
+    write_canonical(out / WORLD_FILE, world_value(world))
     if world.report is not None:
-        (out / REPORT_FILE).write_bytes(canon.canonicalize(world.report) + b"\n")
+        write_canonical(out / REPORT_FILE, world.report)
     return out
 
 
@@ -614,9 +636,9 @@ def load_world(world_dir: str | Path) -> WorldState:
     shaped like a saved world raises :class:`~bxhf.canon.NotationParseError`.
     """
     base = Path(world_dir)
-    config = load_config((base / SCENARIO_FILE).read_text())
+    config = load_config((base / SCENARIO_FILE).read_bytes())
     ledger = load_ledger_lenient((base / LEDGER_FILE).read_bytes())
-    value = canon.loads((base / WORLD_FILE).read_bytes())
+    value = read_canonical(base / WORLD_FILE)
     try:
         keys = crypto.KeyTable.from_value(value["keys"])
         records = {
@@ -643,5 +665,5 @@ def load_world(world_dir: str | Path) -> WorldState:
     )
     report_path = base / REPORT_FILE
     if report_path.exists():
-        world.report = canon.loads(report_path.read_bytes())
+        world.report = read_canonical(report_path)
     return world

@@ -140,6 +140,8 @@ def _validate_body(kind: str, body: dict) -> None:
             raise TransactionValidationError("policy interval bounds must be integers")
         if body["valid_from"] > body["valid_until"]:
             raise TransactionValidationError("policy interval invalid: valid_from > valid_until")
+        if not isinstance(body["granted"], bool):
+            raise TransactionValidationError("ConsentUpdate.granted must be true or false")
 
 
 @dataclass(frozen=True)

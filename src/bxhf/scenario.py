@@ -4,15 +4,16 @@ A scenario file describes a small consortium — institutions with signing
 keys, clinicians, a feature panel with directional expectations, consent
 policies, and a script of access requests.  Records are either generated
 from a planted linear truth (seeded, reproducible) or written inline.
+Scenario files are JSON.
 """
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import canon
 from .access import PURPOSES, AccessPolicy
 from .learning import LINKS, FeatureSpec
 
@@ -21,9 +22,11 @@ __all__ = [
     "ScenarioConfig",
     "GeneratedRecord",
     "demo_profile",
+    "dump_scenario",
     "rare_disease_profile",
     "generate_records",
     "load_config",
+    "parse_scenario",
     "validate_config",
 ]
 
@@ -227,12 +230,36 @@ def validate_config(value) -> ScenarioConfig:
     )
 
 
-def load_config(text: str) -> ScenarioConfig:
+def _reject_constant(name: str):
+    raise ConfigError(f"scenario: {name} is not a number")
+
+
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    value = dict(pairs)
+    if len(value) < len(pairs):
+        keys = [key for key, _ in pairs]
+        key = next(key for key in keys if keys.count(key) > 1)
+        raise ConfigError(f"scenario: duplicate key {key!r}")
+    return value
+
+
+def parse_scenario(text: bytes | str):
+    """The value of a scenario file's JSON text or bytes.  ``NaN``,
+    ``Infinity``, ``-Infinity``, a key given twice in one object, and input
+    that is not JSON raise :class:`ConfigError`."""
     try:
-        value = canon.parse(text)
-    except canon.NotationParseError as exc:
-        raise ConfigError(f"scenario: {exc}") from exc
-    return validate_config(value)
+        return json.loads(text, parse_constant=_reject_constant, object_pairs_hook=_unique_keys)
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
+        raise ConfigError(f"scenario: {exc}") from None
+
+
+def dump_scenario(value) -> str:
+    """A scenario file's text: indented JSON with sorted keys."""
+    return json.dumps(value, indent=2, sort_keys=True) + "\n"
+
+
+def load_config(text: bytes | str) -> ScenarioConfig:
+    return validate_config(parse_scenario(text))
 
 
 @dataclass

@@ -115,6 +115,8 @@ def test_policy_validation():
         _policy(policy_id="")
     with pytest.raises(ValueError):  # the ledger schema takes ids as text only
         _policy(policy_id=5)
+    with pytest.raises(ValueError):  # nor a grant that is not a bool
+        _policy(granted=1)
 
 
 def test_latest_wins_per_policy_id():

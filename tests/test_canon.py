@@ -13,10 +13,10 @@ from bxhf.canon import (
     NotationParseError,
     canonicalize,
     dumps,
-    dumps_pretty,
     loads,
     parse,
 )
+from bxhf.scenario import dump_scenario, parse_scenario
 
 
 def test_scalar_forms():
@@ -43,6 +43,9 @@ def test_nonfinite_floats_rejected():
     for bad in (float("nan"), float("inf"), float("-inf")):
         with pytest.raises(CanonicalizationError):
             dumps(bad)
+    for bits in ("7ff0000000000000", "fff0000000000000", "7ff8000000000000"):
+        with pytest.raises(NotationParseError, match="non-finite"):
+            parse(f'f"{bits}"')
 
 
 def test_map_keys_sorted_and_compact():
@@ -66,18 +69,24 @@ def test_unsupported_types_rejected():
 
 
 def test_parse_accepts_whitespace():
-    text = ' { "a" : [ 1 , true , b"ff" ] ,\n "b" : f"3ff0000000000000" } '
-    assert parse(text) == {"a": [1, True, b"\xff"], "b": 1.0}
+    # scenario files (JSON) may be spaced; canonical notation may not
+    text = ' { "a" : [ 1 , true , "ff" ] ,\n "b" : 1.0 } '
+    assert parse_scenario(text) == {"a": [1, True, "ff"], "b": 1.0}
+    with pytest.raises(NotationParseError):
+        parse(' { "a" : [ 1 , true , b"ff" ] ,\n "b" : f"3ff0000000000000" } ')
 
 
 def test_parse_accepts_decimal_floats():
-    assert parse("0.5") == 0.5
-    assert parse("-2.75") == -2.75
-    assert parse("1e3") == 1000.0
-    assert parse("2.5e-2") == 0.025
-    assert isinstance(parse("1.0"), float)
+    assert parse_scenario("0.5") == 0.5
+    assert parse_scenario("-2.75") == -2.75
+    assert parse_scenario("1e3") == 1000.0
+    assert parse_scenario("2.5e-2") == 0.025
+    assert isinstance(parse_scenario("1.0"), float)
     # a bare integer literal stays an int
-    assert isinstance(parse("10"), int)
+    assert isinstance(parse_scenario("10"), int)
+    for decimal in ("0.5", "1e3", "1.0"):
+        with pytest.raises(NotationParseError):
+            parse(decimal)
 
 
 def test_parse_rejects_trailing_and_malformed():
@@ -130,16 +139,16 @@ def test_round_trip_random_values():
 
 
 def test_dumps_pretty_parses_back_to_same_value():
+    # the layout `bxhf init` and `save_world` write scenario files in
     value = {
         "name": "demo",
         "weights": [0.25, -1.5, 1e-9],
         "nested": {"flag": True, "ids": ["a", "b"]},
-        "blob": b"\xde\xad",
         "empty_list": [],
         "empty_map": {},
     }
-    pretty = dumps_pretty(value)
-    assert parse(pretty) == value
+    pretty = dump_scenario(value)
+    assert parse_scenario(pretty) == value
     assert "\n" in pretty
     # decimal float literals, not bit patterns, for human eyes
     assert "0.25" in pretty and 'f"' not in pretty
@@ -148,7 +157,8 @@ def test_dumps_pretty_parses_back_to_same_value():
 def test_pretty_floats_round_trip_exactly():
     rng = np.random.default_rng(7)
     values = [float(v) for v in rng.standard_normal(200) * 10.0 ** rng.integers(-12, 12, 200)]
-    again = parse(dumps_pretty(values))
+    values += [-0.0, 5e-324, 1.7976931348623157e308]
+    again = parse_scenario(dump_scenario(values))
     assert all(math.copysign(1, a) == math.copysign(1, b) and a == b for a, b in zip(values, again))
 
 

@@ -1,17 +1,20 @@
-"""The regex-driven codec against the per-character one it replaced.
+"""The strict parser against the per-character parser of the first codec.
 
-The parser must accept exactly the inputs the per-character parser accepted,
-return the same values, and fail with the same message and offset; the
-emitter must write the same bytes.  The per-character versions are kept here
-as the reference.  The only intended differences are named errors where the
-reference raised something else: a bad ``\\u`` escape, a float bit pattern
-that is not 8 bytes, a lone surrogate on output, and nesting deeper than
-``MAX_DEPTH`` (the reference overflowed the interpreter's stack).
+That parser, and its string emitter, are kept here as the oracle.  It read
+canonical notation leniently: whitespace, decimal floats, upper-case hex, any
+\\u escape, duplicate keys.  The strict parser must accept a text exactly when
+the oracle parses it *and* re-canonicalizes its value to the same text, and
+then return the same value; every other text raises
+:class:`NotationParseError` naming an offset.  The emitter must write the same
+bytes as the per-character one.  A bad ``\\u`` escape, a float bit pattern
+that is not 8 bytes and nesting deeper than ``MAX_DEPTH`` were not named
+errors in the oracle (it overflowed the interpreter's stack on the last).
 """
 
 from __future__ import annotations
 
 import random
+import re
 import struct
 
 import pytest
@@ -22,6 +25,7 @@ from bxhf.canon import (
     NotationParseError,
     canonicalize,
     dumps,
+    loads,
     parse,
 )
 
@@ -221,6 +225,8 @@ LENIENT = [
     ('{"a":1,"b":2,"a":3}', {"a": 3, "b": 2}),
 ]
 
+# The reference's message for each malformed input; the strict parser's is
+# the same except where STRICT_MESSAGES says otherwise.
 MALFORMED = [
     ("", "unexpected end of input at offset 0"),
     ("{", "unexpected end of input at offset 1"),
@@ -249,6 +255,19 @@ MALFORMED = [
     ("1²", "invalid number '1²' at offset 2"),  # SUPERSCRIPT TWO: isdigit, not int()
 ]
 
+STRICT_MESSAGES = {
+    '{"a" 1}': "expected ':' at offset 4",
+    '{"a":1 "b":2}': "expected ',' or '}' in map at offset 6",
+    "[1 2]": "expected ',' or ']' in list at offset 2",
+    "1 2": "trailing content after value at offset 1",
+    "-": "invalid number at offset 0",
+    "1e": "trailing content after value at offset 1",
+    "1²": "trailing content after value at offset 1",
+}
+
+# Every pinned lenient input but the escapes, which are canonical text.
+NOW_REJECTED = [case for case in LENIENT if canonicalize(case[1]) != case[0].encode()]
+
 # Inputs the reference rejected with an unnamed error.
 NOW_NAMED = [
     ('"\\uzzzz"', "invalid \\u escape 'zzzz' at offset 3"),
@@ -259,13 +278,22 @@ NOW_NAMED = [
 
 @pytest.mark.parametrize("text, value", LENIENT)
 def test_lenient_inputs_keep_their_values(text, value):
-    assert _outcome(parse, text) == ("ok", repr(value))
+    """The oracle reads each to its value; the strict parser reads only the
+    canonical text of a value, and to the same value."""
     assert _outcome(reference_parse, text) == ("ok", repr(value))
+    if (text, value) not in NOW_REJECTED:
+        assert _outcome(parse, text) == ("ok", repr(value))
+
+
+@pytest.mark.parametrize("text, value", NOW_REJECTED)
+def test_lenient_inputs_are_rejected(text, value):
+    with pytest.raises(NotationParseError, match=r" at offset \d+$"):
+        parse(text)
 
 
 @pytest.mark.parametrize("text, message", MALFORMED)
 def test_malformed_inputs_keep_their_errors(text, message):
-    assert _outcome(parse, text) == ("NotationParseError", message)
+    assert _outcome(parse, text) == ("NotationParseError", STRICT_MESSAGES.get(text, message))
     assert _outcome(reference_parse, text) == ("NotationParseError", message)
 
 
@@ -358,8 +386,44 @@ def test_emitted_text_matches_per_character_escaping():
         assert dumps({text: [text]}) == "{" + reference_string(text) + ":[" + reference_string(text) + "]}"
 
 
+def _expected(text: str):
+    """What the strict parser must do with ``text``: return the oracle's
+    value when the oracle parses it and re-canonicalizes it to ``text``."""
+    try:
+        value = reference_parse(text)
+        if canonicalize(value) == text.encode("utf-8"):
+            return ("ok", repr(value))
+    except (ValueError, struct.error):  # parse and canonicalization errors alike
+        pass
+    return ("rejected",)
+
+
+def _found(data: bytes | str):
+    try:
+        return ("ok", repr(loads(data)))
+    except NotationParseError as exc:
+        assert re.search(r" at offset \d+$", str(exc)), exc
+        return ("rejected",)
+
+
+def _re_spaced(rng: random.Random, text: str) -> str:
+    chars = list(text)
+    for _ in range(rng.randint(1, 3)):
+        chars.insert(rng.randint(0, len(chars)), rng.choice(" \t\r\n"))
+    return "".join(chars)
+
+
+def _expected_bytes(data: bytes):
+    try:
+        return _expected(data.decode("utf-8"))
+    except UnicodeDecodeError:
+        return ("rejected",)
+
+
 def test_parser_matches_reference_on_random_and_damaged_input():
     rng = random.Random(4242)
+    damage = random.Random(4243)
+    outcomes = set()
     for _ in range(4000):
         kind = rng.randint(0, 2)
         if kind == 0:
@@ -368,9 +432,12 @@ def test_parser_matches_reference_on_random_and_damaged_input():
             text = _mutated(rng, dumps(_random_value(rng)))
         else:
             text = "".join(rng.choice(TOKEN_SOUP) for _ in range(rng.randint(0, 12)))
-        expected = _outcome(reference_parse, text)
-        found = _outcome(parse, text)
-        if expected[0] == "unnamed":
-            assert found[0] == "NotationParseError", text
-        else:
-            assert found == expected, text
+        for variant in (text, _re_spaced(damage, text)):
+            expected = _expected(variant)
+            assert _found(variant) == expected, variant
+            outcomes.add(expected[0])
+        data = bytearray(text.encode("utf-8"))
+        if data:
+            data[damage.randrange(len(data))] ^= 1 << damage.randrange(8)
+            assert _found(bytes(data)) == _expected_bytes(bytes(data)), data
+    assert outcomes == {"ok", "rejected"}

@@ -2,13 +2,21 @@
 
 from __future__ import annotations
 
+import json
 from pathlib import Path
 
 import pytest
 
-from bxhf import canon, crypto
+from bxhf import canon, crypto, harness
 from bxhf.cli import main
-from bxhf.harness import LEDGER_FILE, REPORT_FILE, SCENARIO_FILE, WORLD_FILE
+from bxhf.harness import (
+    LEDGER_FILE,
+    REPORT_FILE,
+    SCENARIO_FILE,
+    WORLD_FILE,
+    read_canonical,
+    write_canonical,
+)
 
 
 def _init_and_run(tmp_path: Path, profile: str = "demo", seed: int | None = None) -> Path:
@@ -23,7 +31,7 @@ def _init_and_run(tmp_path: Path, profile: str = "demo", seed: int | None = None
 
 
 def _report(out: Path) -> dict:
-    return canon.loads((out / REPORT_FILE).read_bytes())
+    return read_canonical(out / REPORT_FILE)
 
 
 def _record_of(out: Path, decision: str) -> str:
@@ -39,7 +47,7 @@ def test_init_writes_parseable_scenarios(tmp_path):
     for profile in ("demo", "rare-disease"):
         path = tmp_path / f"{profile}.bx"
         assert main(["init", "--out", str(path), "--profile", profile]) == 0
-        value = canon.parse(path.read_text())
+        value = json.loads(path.read_text())
         assert isinstance(value["seed"], int)
 
 
@@ -85,7 +93,7 @@ def test_record_tamper_flags_decision_and_score(tmp_path, capsys):
     assert "mismatch: input" in capsys.readouterr().out
 
     assert main(["score", "--world", str(out)]) == 1
-    scored = canon.parse(capsys.readouterr().out)
+    scored = json.loads(capsys.readouterr().out)
     assert scored["security"]["integrity"] < 1.0
 
     # the chain itself was not touched
@@ -108,7 +116,7 @@ def test_explanation_tamper_flags_decision_and_explain(tmp_path, capsys):
 def test_each_command_opens_only_the_records_it_reads(tmp_path, capsys, monkeypatch):
     out = _init_and_run(tmp_path)
     decision = _report(out)["decision_tx_ids"][0]
-    records = len(canon.loads((out / WORLD_FILE).read_bytes())["records"])
+    records = len(read_canonical(out / WORLD_FILE)["records"])
     opened = []
     unseal_bytes = crypto.unseal_bytes
 
@@ -136,7 +144,7 @@ def test_record_missing_a_feature_fails_score_not_other_decisions(tmp_path, caps
     decisions = _report(out)["decision_tx_ids"]
     damaged = _record_of(out, decisions[0])
     other = next(d for d in decisions if _record_of(out, d) != damaged)
-    value = canon.loads((out / WORLD_FILE).read_bytes())
+    value = read_canonical(out / WORLD_FILE)
     keys = crypto.KeyTable.from_value(value["keys"])
     record = value["records"][damaged]["sealed"]
     sealed = crypto.SealedPayload.from_value(record)
@@ -144,7 +152,7 @@ def test_record_missing_a_feature_fails_score_not_other_decisions(tmp_path, caps
     del plaintext["features"][sorted(plaintext["features"])[0]]
     resealed = crypto.seal(plaintext, sealed.key_id, keys, b"\x01" * crypto.NONCE_LEN)
     value["records"][damaged]["sealed"] = resealed.to_value()
-    (out / WORLD_FILE).write_bytes(canon.canonicalize(value) + b"\n")
+    write_canonical(out / WORLD_FILE, value)
     capsys.readouterr()
 
     assert main(["score", "--world", str(out)]) == 1
@@ -158,7 +166,7 @@ def test_record_missing_a_feature_fails_score_not_other_decisions(tmp_path, caps
     # the replay cannot read the record, which is still an input mismatch
     commitment = crypto.commit(plaintext, b"\x02" * crypto.SALT_LEN)
     value["records"][damaged]["commitment"] = commitment.to_value()
-    (out / WORLD_FILE).write_bytes(canon.canonicalize(value) + b"\n")
+    write_canonical(out / WORLD_FILE, value)
     lines = (out / LEDGER_FILE).read_bytes().split(b"\n")
     index = next(i for i, line in enumerate(lines) if decisions[0].encode() in line)
     old_digest = canon.loads(lines[index])["transactions"][-1]["body"]["input_commitment"]
@@ -182,12 +190,12 @@ def test_record_not_shaped_like_a_sealed_record_is_a_parse_error(tmp_path, capsy
     out = _init_and_run(tmp_path)
     decision = _report(out)["decision_tx_ids"][0]
     rid = _record_of(out, decision)
-    world = canon.loads((out / WORLD_FILE).read_bytes())
+    world = read_canonical(out / WORLD_FILE)
     holder = world["records"][rid]
     for key in path[:-1]:
         holder = holder[key]
     holder[path[-1]] = value
-    (out / WORLD_FILE).write_bytes(canon.canonicalize(world) + b"\n")
+    write_canonical(out / WORLD_FILE, world)
     capsys.readouterr()
     for argv in (
         ["verify-decision", "--world", str(out), "--decision", decision],
@@ -227,9 +235,37 @@ def test_score_clean_world(tmp_path, capsys):
     out = _init_and_run(tmp_path)
     capsys.readouterr()
     assert main(["score", "--world", str(out)]) == 0
-    value = canon.parse(capsys.readouterr().out)
+    value = json.loads(capsys.readouterr().out)
     assert value["security"]["score"] == 1.0
     assert "trust" in value
+
+
+def test_score_that_is_not_finite_exits_one_without_printing(tmp_path, capsys, monkeypatch):
+    out = _init_and_run(tmp_path)
+    score_world = harness.score_world
+
+    def overflowed(world):
+        result = score_world(world)
+        result["trust"]["objective"] = float("inf")
+        return result
+
+    monkeypatch.setattr(harness, "score_world", overflowed)
+    capsys.readouterr()
+    assert main(["score", "--world", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("score cannot be printed: Out of range float values")
+
+
+def test_saved_file_is_canonical_bytes_and_one_newline(tmp_path, capsys):
+    out = _init_and_run(tmp_path)
+    data = (out / WORLD_FILE).read_bytes()
+    assert data == canon.canonicalize(read_canonical(out / WORLD_FILE)) + b"\n"
+    for damaged in (data[:-1], data + b"\n", b" " + data, data[:-1] + b"\r\n"):
+        (out / WORLD_FILE).write_bytes(damaged)
+        capsys.readouterr()
+        assert main(["score", "--world", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("file does not parse: ")
 
 
 def test_explain_prints_ranked_attributions(tmp_path, capsys):
@@ -249,12 +285,12 @@ def test_explain_lists_every_decision_on_a_record_in_chain_order(tmp_path, capsy
     scenario = tmp_path / "scenario.bx"
     out = tmp_path / "out"
     assert main(["init", "--out", str(scenario), "--profile", "demo"]) == 0
-    value = canon.parse(scenario.read_text())
+    value = json.loads(scenario.read_text())
     # dr-tanaka's wildcard treatment grant covers lakeside records
     value["requests"].append(
         {"user_id": "dr-tanaka", "record_id": "lakeside-r003", "purpose": "treatment"}
     )
-    scenario.write_text(canon.dumps_pretty(value))
+    scenario.write_text(json.dumps(value))
     assert main(["run", "--scenario", str(scenario), "--out", str(out)]) == 0
     on_chain = [
         tx["tx_id"]

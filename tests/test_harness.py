@@ -25,7 +25,7 @@ from bxhf.harness import (
     verify_decision,
     world_value,
 )
-from bxhf.canon import canonicalize
+from bxhf.canon import NotationParseError, canonicalize
 from bxhf.explain import explain_linear, plausibility_penalty
 from bxhf.ledger import dump_ledger
 from bxhf.scenario import demo_profile, rare_disease_profile, validate_config
@@ -146,8 +146,10 @@ def test_record_resealed_with_re_spaced_plaintext_fails_input_checks():
         ),
     )
     resealed = world.records[rid]
-    # same value, same key, authenticates: only the committed bytes differ
-    assert crypto.unseal(resealed.sealed, world.keys) == crypto.unseal(record.sealed, world.keys)
+    # same key, authenticates, but the plaintext is not canonical notation
+    assert crypto.unseal_bytes(resealed.sealed, world.keys) == re_spaced
+    with pytest.raises(NotationParseError):
+        crypto.unseal(resealed.sealed, world.keys)
     assert verify_record(record, world.keys, record.commitment.digest) == plain
     assert verify_record(resealed, world.keys, record.commitment.digest) is None
     assert verify_decision(world, txid) == "input"

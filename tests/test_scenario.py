@@ -5,10 +5,11 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from bxhf.canon import dumps_pretty
+from bxhf.cli import main
 from bxhf.scenario import (
     ConfigError,
     demo_profile,
+    dump_scenario,
     generate_records,
     load_config,
     rare_disease_profile,
@@ -127,6 +128,9 @@ def test_policy_field_errors_carry_path():
     _expect_error(value, "policies[0]")
     value = _minimal()
     value["policies"][0]["policy_id"] = 5  # the ledger takes ids as text only
+    _expect_error(value, "policies[0]")
+    value = _minimal()
+    value["policies"][0]["granted"] = 1
     _expect_error(value, "policies[0]")
 
 
@@ -269,11 +273,100 @@ def test_record_ids_follow_institution_order():
 
 
 def test_load_config_round_trips_through_text():
-    text = dumps_pretty(_minimal())
+    text = dump_scenario(_minimal())
     config = load_config(text)
     assert config.seed == 5
     with pytest.raises(ConfigError):
         load_config("seed = broken {{{")
+
+
+# A scenario file as earlier versions wrote it: inline scalar lists, repr floats.
+OLD_LAYOUT = """\
+{
+  "features": {
+    "baseline": [0.1, -2.5e-07],
+    "names": ["a", "b"],
+    "sign_constraints": [1, 0]
+  },
+  "federation": {
+    "rounds": 1
+  },
+  "institutions": [
+    {
+      "id": "h1"
+    }
+  ],
+  "policies": [
+    {
+      "granted": true,
+      "policy_id": "p1",
+      "purpose": "treatment",
+      "record_scope": "h1/*",
+      "user_id": "u1",
+      "valid_from": 1,
+      "valid_until": 1000
+    }
+  ],
+  "records": {
+    "mode": "generated",
+    "per_institution": 3,
+    "planted_bias": 0.0,
+    "planted_weights": [1.0, -0.5]
+  },
+  "requests": [
+    {
+      "purpose": "treatment",
+      "record_id": "h1-r000",
+      "user_id": "u1"
+    }
+  ],
+  "seed": 5,
+  "train": {
+    "learning_rate": 0.5,
+    "link": "logistic",
+    "local_steps": 2,
+    "penalty_weight": 0.1
+  },
+  "trust": {
+    "component_weights": [0.4, 0.3, 0.3],
+    "security_weight": 0.2
+  },
+  "users": [
+    {
+      "id": "u1"
+    }
+  ]
+}
+"""
+
+
+def test_scenario_in_the_old_layout_loads():
+    expected = _minimal()
+    expected["features"]["baseline"] = [0.1, -2.5e-07]
+    assert load_config(OLD_LAYOUT).raw == expected
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ('{"seed": NaN}', "NaN is not a number"),
+        ('{"seed": Infinity}', "Infinity is not a number"),
+        ('{"seed": -Infinity}', "-Infinity is not a number"),
+        ('{"users": [{"id": "u1", "id": "u2"}]}', "duplicate key 'id'"),
+        ('{"seed": 5,}', "Expecting property name"),
+        ("[" * 100_000, "recursion"),
+        (b'{"seed": "\xff"}', "can't decode byte 0xff"),
+    ],
+    ids=["nan", "infinity", "minus-infinity", "duplicate-key", "trailing-comma", "deep", "not-utf8"],
+)
+def test_scenario_that_is_not_strict_json_is_a_config_error(tmp_path, capsys, text, message):
+    with pytest.raises(ConfigError, match=message):
+        load_config(text)
+    path = tmp_path / "scenario.json"
+    path.write_bytes(text if isinstance(text, bytes) else text.encode())
+    assert main(["run", "--scenario", str(path), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: scenario: ") and message in err
 
 
 def test_shipped_profiles_validate():

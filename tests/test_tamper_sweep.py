@@ -21,12 +21,14 @@ give every reading command an exit code, never a traceback.
 from __future__ import annotations
 
 import bisect
+import json
 import random
+import re
 import shutil
 
 import pytest
 
-from bxhf.canon import canonicalize, dumps, dumps_pretty, loads, parse
+from bxhf.canon import NotationParseError, canonicalize, dumps, loads
 from bxhf.cli import main
 from bxhf.crypto import digest, digest_value
 from bxhf.harness import (
@@ -34,6 +36,7 @@ from bxhf.harness import (
     REPORT_FILE,
     WORLD_FILE,
     build_scenario,
+    read_canonical,
     run_workflow,
     save_world,
     tamper,
@@ -116,7 +119,9 @@ def test_re_spaced_line_is_rejected_at_its_block(ledger, respace, tmp_path, caps
     for block in (0, 3, len(lines) - 2):
         tampered = list(lines)
         tampered[block] = respace(lines[block])
-        assert loads(tampered[block]) == loads(lines[block])
+        assert json.loads(tampered[block]) == json.loads(lines[block])
+        with pytest.raises(NotationParseError):
+            loads(tampered[block])
         data = b"\n".join(tampered)
         assert verify_dump(data) == block
         assert _verify_chain_cli(data, tmp_path, capsys) == (1, f"corrupt at block {block}\n")
@@ -171,9 +176,9 @@ def test_score_fails_integrity_on_a_ledger_verify_chain_calls_corrupt(tmp_path, 
     scenario = tmp_path / "scenario.bx"
     out = tmp_path / "out"
     assert main(["init", "--out", str(scenario), "--profile", "demo"]) == 0
-    value = parse(scenario.read_text())
+    value = json.loads(scenario.read_text())
     value["requests"] = []  # no access decisions, so auditability cannot show the loss
-    scenario.write_text(dumps_pretty(value))
+    scenario.write_text(json.dumps(value))
     assert main(["run", "--scenario", str(scenario), "--out", str(out)]) == 0
     path = out / LEDGER_FILE
     data = path.read_bytes()
@@ -224,7 +229,11 @@ def test_audit_of_a_forged_ledger_exits_without_a_traceback(ledger, edit, rc, tm
     path.write_bytes(data)
     capsys.readouterr()
     assert main(["audit", "--ledger", str(path), "--record", record]) == rc
-    printed = [loads(line) for line in capsys.readouterr().out.splitlines()]
+    captured = capsys.readouterr()
+    if rc == 1:  # an escape canonical notation never writes: the line does not parse
+        assert captured.out == "" and captured.err.startswith("ledger does not parse: block 14")
+        return
+    printed = [loads(line) for line in captured.out.splitlines()]
     assert printed and all(record in str(tx["body"]) for tx in printed)
     times = [tx["logical_time"] for tx in printed]
     if edit is _string_logical_time:
@@ -272,7 +281,7 @@ def test_body_failing_its_schema_is_skipped_not_read(
     world = tmp_path / "world"
     shutil.copytree(world_dir, world)
     (world / LEDGER_FILE).write_bytes(b"\n".join(lines))
-    decision = loads((world_dir / REPORT_FILE).read_bytes())["decision_tx_ids"][0]
+    decision = read_canonical(world_dir / REPORT_FILE)["decision_tx_ids"][0]
     capsys.readouterr()
     assert main(["score", "--world", str(world)]) == 1
     assert '"integrity": 0.0' in capsys.readouterr().out
@@ -289,8 +298,15 @@ def test_body_failing_its_schema_is_skipped_not_read(
         ("DecisionRecord", "record_ref", [1]),
         ("ConsentUpdate", "purpose", "surgery"),
         ("ConsentUpdate", "policy_id", ""),
+        ("ConsentUpdate", "granted", 1),
     ],
-    ids=["registration-record-id", "decision-record-ref", "consent-purpose", "consent-policy-id"],
+    ids=[
+        "registration-record-id",
+        "decision-record-ref",
+        "consent-purpose",
+        "consent-policy-id",
+        "consent-granted",
+    ],
 )
 def test_body_the_readers_cannot_use_fails_its_schema(
     world_dir, ledger, kind, field, value, rehash, tmp_path, capsys
@@ -312,7 +328,7 @@ def test_body_the_readers_cannot_use_fails_its_schema(
     world = tmp_path / "world"
     shutil.copytree(world_dir, world)
     (world / LEDGER_FILE).write_bytes(data)
-    decision = loads((world_dir / REPORT_FILE).read_bytes())["decision_tx_ids"][0]
+    decision = read_canonical(world_dir / REPORT_FILE)["decision_tx_ids"][0]
 
     assert verify_dump(data) == index
     assert _verify_chain_cli(data, tmp_path, capsys) == (1, f"corrupt at block {index}\n")
@@ -350,14 +366,12 @@ def test_world_flips_give_exit_codes_not_tracebacks(world_dir, tmp_path, capsys)
     """Each command that reads ``world.bx`` returns 0, 1 or 2 on a flipped copy.
 
     Exit 0 is still possible for some flips: ``score`` does not read the
-    stored decision artifacts, and the lenient notation reads an upper-case
-    hex digit in a byte string as the same byte.  This test asks only for an
-    exit code.
+    stored decision artifacts.  This test asks only for an exit code.
     """
     world = tmp_path / "world"
     shutil.copytree(world_dir, world)
     data = (world_dir / WORLD_FILE).read_bytes()
-    decision = loads((world_dir / REPORT_FILE).read_bytes())["decision_tx_ids"][0]
+    decision = read_canonical(world_dir / REPORT_FILE)["decision_tx_ids"][0]
     commands = [
         ["score", "--world", str(world)],
         ["verify-decision", "--world", str(world), "--decision", decision],
@@ -374,3 +388,33 @@ def test_world_flips_give_exit_codes_not_tracebacks(world_dir, tmp_path, capsys)
             codes.add(main(argv))
     capsys.readouterr()
     assert codes <= {0, 1, 2} and 1 in codes
+
+
+def test_world_flips_in_keys_and_records_byte_strings_fail_score(world_dir, tmp_path, capsys):
+    """A flip inside a ``b"..."`` value of ``keys`` or ``records`` in
+    ``world.bx`` makes ``score`` exit 1: another byte fails its seal or
+    commitment, and anything else, an upper-case hex digit included, is not
+    canonical and does not parse."""
+    world = tmp_path / "world"
+    shutil.copytree(world_dir, world)
+    data = (world_dir / WORLD_FILE).read_bytes()
+    sections = (data.index(b'"keys":'), data.index(b',"model":')), (data.index(b',"records":'), len(data))
+    digits = [
+        offset
+        for start, end in sections
+        for match in re.finditer(rb'b"([0-9a-f]+)"', data[start:end])
+        for offset in range(start + match.start(1), start + match.end(1))
+    ]
+    rng = random.Random(20251019)
+    flips = [(offset, rng.randrange(8)) for offset in rng.sample(digits, 24)]
+    letters = [offset for offset in digits if data[offset] >= ord("a")]
+    flips += [(offset, 5) for offset in rng.sample(letters, 16)]  # upper case: 0x61 ^ 0x20 == 0x41
+    passed = []
+    for offset, bit in flips:
+        tampered = bytearray(data)
+        tampered[offset] ^= 1 << bit
+        (world / WORLD_FILE).write_bytes(bytes(tampered))
+        if main(["score", "--world", str(world)]) != 1:
+            passed.append((offset, bit))
+    capsys.readouterr()
+    assert passed == []
