@@ -15,7 +15,7 @@ from . import canon, crypto, harness
 from .access import IntegrityAlarmError
 from .canon import CanonicalizationError, NotationParseError
 from .explain import Explanation
-from .ledger import load_ledger, verify_dump
+from .ledger import dump_lines, load_ledger, verify_dump
 from .scenario import (
     ConfigError,
     demo_profile,
@@ -74,7 +74,8 @@ def _cmd_verify_chain(args) -> int:
     data = Path(args.ledger).read_bytes()
     verdict = verify_dump(data)
     if verdict is None:
-        blocks = sum(1 for line in data.split(b"\n") if line.strip())
+        # a dump that verifies is its blocks, each followed by one newline
+        blocks = data.count(b"\n")
         print(f"chain valid ({blocks} blocks)")
         return 0
     print(f"corrupt at block {verdict}")
@@ -129,18 +130,17 @@ def _cmd_tamper(args) -> int:
             print(f"block index must be an integer, got {key!r}", file=sys.stderr)
             return 2
         path = base / harness.LEDGER_FILE
-        lines = path.read_bytes().split(b"\n")
-        body_lines = [i for i, line in enumerate(lines) if line.strip()]
-        if not 0 <= index < len(body_lines):
+        data = path.read_bytes()
+        lines = dump_lines(data)
+        if not 0 <= index < len(lines):
             print(f"no block {index} in {path}", file=sys.stderr)
             return 2
-        target = body_lines[index]
         try:
-            lines[target] = harness.flip_bit(lines[target], args.offset, f"block {index}")
+            lines[index] = harness.flip_bit(lines[index], args.offset, f"block {index}")
         except IndexError as exc:
             print(str(exc), file=sys.stderr)
             return 2
-        path.write_bytes(b"\n".join(lines))
+        path.write_bytes(b"\n".join(lines) + b"\n" * data.endswith(b"\n"))
         print(f"flipped bit at byte {args.offset} of block {index}")
         return 0
 

@@ -14,10 +14,11 @@ and its explanation to the chain.
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass, field
 
-from .canon import CanonicalizationError, NotationParseError, canonicalize, loads
+from .canon import CanonicalizationError, NotationParseError, canonicalize, scan
 from .crypto import ZERO_HASH, digest
 
 __all__ = [
@@ -31,6 +32,7 @@ __all__ = [
     "TX_KINDS",
     "build_transaction",
     "dump_ledger",
+    "dump_lines",
     "has_valid_body",
     "load_ledger",
     "load_ledger_lenient",
@@ -224,19 +226,31 @@ class Block:
     # these and requires them to be the canonical encoding of the batch, so
     # any byte-level tampering, re-spacing included, is visible.
     payload_bytes: bytes = field(repr=False, default=b"")
+    # (payload bytes, transactions, byte offset at which each transaction's
+    # element ends in them), recorded when the payload was encoded on append
+    # or strictly scanned on load.  It vouches for those exact objects only.
+    layout: tuple | None = field(default=None, repr=False, compare=False)
 
 
-def _encode_transactions(txs: list[Transaction]) -> tuple[list[str], bytes]:
-    """Emit each transaction once; return the tx ids it derives and the payload.
+# Map keys sort ``actor < body < kind < logical_time < tx_id``, so a
+# transaction's payload element is its tx-id preimage (the canonical map
+# without ``tx_id``) with the closing brace replaced by ``,"tx_id":"…"}``.
+_TX_KEYS = frozenset(("actor", "body", "kind", "logical_time", "tx_id"))
+# an element's ``,"tx_id":"<64 hex>"}``, which stands for its preimage's ``}``
+_TX_ID_SUFFIX = len(',"tx_id":""}') + 64
 
-    Map keys sort ``actor < body < kind < logical_time < tx_id``, so a
-    transaction's payload element is its tx-id preimage (the canonical map
-    without ``tx_id``) with the closing brace replaced by ``,"tx_id":"…"}``.
+
+def _encode_transactions(txs: list[Transaction]) -> tuple[list[str], bytes, list[int]]:
+    """Emit each transaction once; return the tx ids it derives, the payload
+    and the offset at which each transaction's element ends in the payload.
+
     The payload carries the derived ids, so it equals the canonical encoding
     of the batch exactly when every stored ``tx_id`` is the derived one.
     """
     tx_ids = []
     elements = []
+    ends = []
+    end = 0
     for tx in txs:
         preimage = canonicalize(
             {"kind": tx.kind, "actor": tx.actor, "logical_time": tx.logical_time, "body": tx.body}
@@ -244,19 +258,37 @@ def _encode_transactions(txs: list[Transaction]) -> tuple[list[str], bytes]:
         tx_id = digest(preimage)
         tx_ids.append(tx_id)
         elements.append(preimage[:-1] + b',"tx_id":"' + tx_id.encode() + b'"}')
-    return tx_ids, b"[" + b",".join(elements) + b"]"
+        end += 1 + len(elements[-1])  # after the "[" or "," before it
+        ends.append(end)
+    return tx_ids, b"[" + b",".join(elements) + b"]", ends
+
+
+def _sliced_tx_ids(payload: bytes, ends: list[int]) -> list[str]:
+    """The tx ids derived from a canonical payload whose elements end at
+    ``ends``: each element, its ``,"tx_id":"…"`` cut out, is its preimage."""
+    tx_ids = []
+    start = 1
+    for end in ends:
+        tx_ids.append(digest(payload[start : end - _TX_ID_SUFFIX] + b"}"))
+        start = end + 1
+    return tx_ids
 
 
 _GENESIS_PAYLOAD = canonicalize([])
 
 
 def _block_hash(index: int, prev_hash: str, payload_hash: str) -> str:
+    """The digest of the canonical ``{index, payload_hash, prev_hash}`` map,
+    for an integer index and hashes that need no escaping."""
     return digest(
-        canonicalize({"index": index, "prev_hash": prev_hash, "payload_hash": payload_hash})
+        b'{"index":%d,"payload_hash":"%s","prev_hash":"%s"}'
+        % (index, payload_hash.encode(), prev_hash.encode())
     )
 
 
-def _make_block(index: int, prev_hash: str, txs: list[Transaction], payload: bytes) -> Block:
+def _make_block(
+    index: int, prev_hash: str, txs: list[Transaction], payload: bytes, ends: list[int]
+) -> Block:
     payload_hash = digest(payload)
     return Block(
         index=index,
@@ -265,6 +297,7 @@ def _make_block(index: int, prev_hash: str, txs: list[Transaction], payload: byt
         block_hash=_block_hash(index, prev_hash, payload_hash),
         transactions=list(txs),
         payload_bytes=payload,
+        layout=(payload, tuple(txs), ends),
     )
 
 
@@ -272,7 +305,7 @@ class Ledger:
     """The hash chain: genesis plus appended blocks of validated transactions."""
 
     def __init__(self):
-        self.blocks: list[Block] = [_make_block(0, ZERO_HASH, [], _GENESIS_PAYLOAD)]
+        self.blocks: list[Block] = [_make_block(0, ZERO_HASH, [], _GENESIS_PAYLOAD, [])]
         self._tx_index: dict[str, Transaction] = {}
         # index of the first dump line that did not load; None when built in memory
         self.damaged: int | None = None
@@ -318,7 +351,7 @@ class Ledger:
             _validate_body(tx.kind, tx.body)
             if not _is_int(tx.logical_time):
                 raise TransactionValidationError("logical_time must be a positive integer")
-        tx_ids, payload = _encode_transactions(txs)
+        tx_ids, payload, ends = _encode_transactions(txs)
         floor = self.max_logical_time()
         for tx, tx_id in zip(txs, tx_ids):
             if tx.tx_id != tx_id:
@@ -328,7 +361,7 @@ class Ledger:
                     f"logical_time {tx.logical_time} not above chain maximum {floor}"
                 )
             floor = tx.logical_time
-        block = _make_block(len(self.blocks), self.head.block_hash, txs, payload)
+        block = _make_block(len(self.blocks), self.head.block_hash, txs, payload, ends)
         self.blocks.append(block)
         for tx in txs:
             self._tx_index[tx.tx_id] = tx
@@ -353,14 +386,20 @@ class Ledger:
         canonical encoding of its transactions under their derived tx ids.
         A loaded ledger is corrupt at its first damaged dump line when every
         block before that line verifies; a ledger with no blocks at 0.
+
+        A block whose payload bytes and transactions are still the objects
+        its ``layout`` was recorded with is canonical by construction (it
+        was encoded on append or strictly scanned on load), so its tx ids
+        are derived from slices of the bytes.  Any other block, e.g. one
+        whose bytes or transactions were replaced, is encoded again.  Like
+        the frozen transactions, their body maps are taken as immutable: a
+        body edited in place is not seen here, and a dump never holds it.
         """
         prev_time = 0
         for i, block in enumerate(self.blocks[: self.damaged]):
             if not _is_int(block.index) or block.index != i:
                 return i
             if digest(block.payload_bytes) != block.payload_hash:
-                return i
-            if _block_hash(block.index, block.prev_hash, block.payload_hash) != block.block_hash:
                 return i
             if i == 0:
                 if block.prev_hash != ZERO_HASH or block.payload_bytes != _GENESIS_PAYLOAD:
@@ -370,18 +409,30 @@ class Ledger:
                     return i
                 if not block.transactions:
                     return i
+            # the index is an integer and both hashes are hex, so the template is exact
+            if _block_hash(block.index, block.prev_hash, block.payload_hash) != block.block_hash:
+                return i
             for tx in block.transactions:
                 if not has_valid_body(tx):
                     return i
                 if not _is_int(tx.logical_time) or tx.logical_time <= prev_time:
                     return i
                 prev_time = tx.logical_time
-            try:
-                tx_ids, payload = _encode_transactions(block.transactions)
-            except CanonicalizationError:
-                return i
-            if block.payload_bytes != payload:
-                return i
+            layout = block.layout
+            if (
+                layout is not None
+                and layout[0] is block.payload_bytes
+                and len(layout[1]) == len(block.transactions)
+                and all(map(operator.is_, layout[1], block.transactions))
+            ):
+                tx_ids = _sliced_tx_ids(block.payload_bytes, layout[2])
+            else:
+                try:
+                    tx_ids, payload, _ = _encode_transactions(block.transactions)
+                except CanonicalizationError:
+                    return i
+                if block.payload_bytes != payload:
+                    return i
             if any(tx.tx_id != tx_id for tx, tx_id in zip(block.transactions, tx_ids)):
                 return i
         return self.damaged if self.blocks else 0
@@ -433,61 +484,119 @@ def dump_ledger(ledger: Ledger) -> str:
     return b"".join(lines).decode("utf-8", "surrogateescape")
 
 
+# A dump line is the canonical block map, whose keys sort in this order.
+_HEADER_KEYS = ('{"block_hash":', ',"index":', ',"payload_hash":', ',"prev_hash":')
+_PAYLOAD_KEY = ',"transactions":'
+
+
+def _expect(text: str, literal: str, pos: int) -> int:
+    if not text.startswith(literal, pos):
+        raise NotationParseError(f"block line: expected {literal!r} at offset {pos}")
+    return pos + len(literal)
+
+
 def _block_from_line(line: bytes) -> Block:
     """One dump line as a block whose payload bytes are the line's own bytes.
 
-    The line must start with :func:`_line_prefix` of its parsed header and
-    end with ``}``; the payload bytes are what lies between.
-    :meth:`Ledger.verify_chain` then requires them to be the canonical
-    encoding of the parsed transactions, so a line that is not byte-for-byte
-    canonical never verifies.
+    The line is scanned strictly (:func:`~bxhf.canon.scan`) as the canonical
+    block map: the keys ``block_hash, index, payload_hash, prev_hash,
+    transactions`` and no other, in that order, and each transaction a map
+    of exactly its five fields.  So the payload bytes are canonical by
+    construction, and the scan gives where each transaction's element ends
+    in them, which :meth:`Ledger.verify_chain` uses to derive the tx ids.
     """
-    value = loads(line)
-    prefix = _line_prefix(
-        value["block_hash"], value["index"], value["payload_hash"], value["prev_hash"]
-    )
-    if not (line.startswith(prefix) and line.endswith(b"}")):
-        raise NotationParseError("block line is not canonical around its payload")
-    txs = [
-        Transaction(
-            tx_id=tv["tx_id"],
-            kind=tv["kind"],
-            actor=tv["actor"],
-            logical_time=tv["logical_time"],
-            body=tv["body"],
-        )
-        for tv in value["transactions"]
-    ]
+    text = line.decode("utf-8")
+    header = []
+    pos = 0
+    for key in _HEADER_KEYS:
+        value, pos = scan(text, _expect(text, key, pos), 1)
+        header.append(value)
+    start = _expect(text, _PAYLOAD_KEY, pos)  # where the payload's "[" is
+    pos = _expect(text, "[", start)
+    txs = []
+    ends = []
+    if text.startswith("]", pos):
+        pos += 1
+    else:
+        while True:
+            tv, pos = scan(text, pos, 2)
+            if not isinstance(tv, dict) or tv.keys() != _TX_KEYS:
+                raise NotationParseError("block line: a transaction is not its five fields")
+            txs.append(
+                Transaction(tv["tx_id"], tv["kind"], tv["actor"], tv["logical_time"], tv["body"])
+            )
+            ends.append(pos - start)
+            sep = text[pos : pos + 1]
+            pos += 1
+            if sep == "]":
+                break
+            if sep != ",":
+                raise NotationParseError(f"block line: expected ',' or ']' at offset {pos - 1}")
+    if text[pos:] != "}":
+        raise NotationParseError(f"block line: expected '}}' and the line's end at offset {pos}")
+    if len(text) != len(line):  # not ASCII: text offsets are not byte offsets
+        ends = _utf8_offsets(text, start, ends)
+        start = len(text[:start].encode("utf-8"))
+    payload = bytes(line[start:-1])
+    block_hash, index, payload_hash, prev_hash = header
     return Block(
-        index=value["index"],
-        prev_hash=value["prev_hash"],
-        payload_hash=value["payload_hash"],
-        block_hash=value["block_hash"],
+        index=index,
+        prev_hash=prev_hash,
+        payload_hash=payload_hash,
+        block_hash=block_hash,
         transactions=txs,
-        payload_bytes=bytes(line[len(prefix) : -1]),
+        payload_bytes=payload,
+        layout=(payload, tuple(txs), ends),
     )
+
+
+def _utf8_offsets(text: str, start: int, offsets: list[int]) -> list[int]:
+    """Text offsets relative to ``start`` as UTF-8 byte offsets."""
+    out = []
+    size = 0
+    at = start
+    for offset in offsets:
+        size += len(text[at : start + offset].encode("utf-8"))
+        out.append(size)
+        at = start + offset
+    return out
+
+
+def dump_lines(data: bytes) -> list[bytes]:
+    """The block lines of a ledger dump, as :func:`dump_ledger` writes it:
+    each block followed by exactly one ``"\n"``.  Bytes after the last
+    ``"\n"`` are a last line (a block that lost its newline)."""
+    lines = data.split(b"\n")
+    if not lines[-1]:
+        lines.pop()
+    return lines
 
 
 def _parse_dump(data: bytes | str, skip_damaged: bool) -> tuple[list[Block], int | None]:
     """Parse a ledger dump, one block per line, each line exactly once.
 
-    Lines are split on ``"\n"`` only; blank lines are ignored.  A line that is
-    not UTF-8, does not parse, is not shaped like a block, or is not canonical
-    around its payload is damaged.  Each block's payload bytes are the file's
-    own bytes, never a re-encoding.  Returns the blocks that parsed and the
-    index of the first damaged line (None if there is none).  Parsing stops
-    at that line unless ``skip_damaged``, in which case damaged lines are
-    left out.
+    Every block must be followed by exactly one ``"\n"``, and nothing else
+    may follow: an empty or whitespace line is damaged, and so is a last
+    line with no newline.  A line that is not UTF-8 or is not exactly a
+    canonical block map is damaged too.  Each block's payload bytes are the
+    file's own bytes, never a re-encoding.  Returns the blocks that parsed
+    and the index of the first damaged line (None if there is none).
+    Parsing stops at that line unless ``skip_damaged``, in which case
+    damaged lines are left out.
     """
     if isinstance(data, str):
         # a lone surrogate survives to fail UTF-8 decoding: damage at its line
         data = data.encode("utf-8", "surrogatepass")
+    lines = dump_lines(data)
+    unterminated = len(lines) - 1 if not data.endswith(b"\n") else None
     blocks: list[Block] = []
     damaged = None
-    for i, line in enumerate(line for line in data.split(b"\n") if line.strip()):
+    for i, line in enumerate(lines):
         try:
+            if i == unterminated:
+                raise NotationParseError(f"block {i} is not followed by a newline")
             blocks.append(_block_from_line(line))
-        except (KeyError, TypeError, ValueError):  # ValueError covers decode and parse errors
+        except ValueError:  # not UTF-8, or not a canonical block map
             if damaged is None:
                 damaged = i
             if not skip_damaged:

@@ -39,6 +39,13 @@ def _fail(path: str, message: str):
     raise ConfigError(f"{path}: {message}")
 
 
+def _as_float(value: int, path: str) -> float:
+    try:
+        return float(value)
+    except OverflowError:  # an integer beyond the float range
+        _fail(path, "number out of range")
+
+
 def _require(mapping, key: str, kind, path: str):
     if not isinstance(mapping, dict):
         _fail(path, "expected a mapping")
@@ -46,7 +53,7 @@ def _require(mapping, key: str, kind, path: str):
         _fail(f"{path}.{key}", "missing")
     value = mapping[key]
     if kind is float and isinstance(value, int) and not isinstance(value, bool):
-        value = float(value)
+        value = _as_float(value, f"{path}.{key}")
     if kind is not None and not isinstance(value, kind):
         _fail(f"{path}.{key}", f"expected {kind.__name__}")
     if kind is int and isinstance(value, bool):
@@ -113,7 +120,7 @@ def _validate_features(value, path: str) -> FeatureSpec:
 
 def _record_ids_for(config: dict, institution_ids: list[str], m: int) -> list[str]:
     """Resolve the full record-id set before any data exists."""
-    records = config["records"]
+    records = _require(config, "records", dict, "scenario")
     mode = _require(records, "mode", str, "records")
     owners: dict[str, str] = {}
     if mode == "generated":
@@ -215,8 +222,14 @@ def validate_config(value) -> ScenarioConfig:
     if _require(trust, "security_weight", float, "trust") < 0:
         _fail("trust.security_weight", "must be non-negative")
     component = _require(trust, "component_weights", list, "trust")
-    if len(component) != 3:
-        _fail("trust.component_weights", "expected three weights")
+    if len(component) != 3 or not all(
+        isinstance(w, (int, float)) and not isinstance(w, bool) for w in component
+    ):
+        _fail("trust.component_weights", "expected three numbers")
+    w_i, w_p, w_a = (_as_float(w, "trust.component_weights") for w in component)
+    # the rule trust.security_score applies to them
+    if min(w_i, w_p, w_a) < 0 or abs(w_i + w_p + w_a - 1.0) > 1e-9:
+        _fail("trust.component_weights", "must be non-negative and sum to 1")
 
     return ScenarioConfig(
         raw=value,

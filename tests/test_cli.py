@@ -327,3 +327,64 @@ def test_argparse_errors_are_exit_codes_not_exceptions(capsys):
     assert main([]) == 2
     assert main(["no-such-command"]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "edit, field",
+    [
+        (lambda v: v["trust"].update(component_weights=[0.5, 0.7, -0.2]), "component_weights"),
+        (lambda v: v["trust"].update(component_weights=[0.4, 0.3, 0.2]), "component_weights"),
+        (lambda v: v["trust"].update(component_weights=[0.4, "0.3", 0.3]), "component_weights"),
+        (lambda v: v["trust"].update(component_weights=[10**400, 0, 0]), "out of range"),
+        (lambda v: v["train"].update(learning_rate=10**400), "train.learning_rate"),
+        (lambda v: v.pop("records"), "scenario.records: missing"),
+    ],
+    ids=[
+        "negative-weight",
+        "weights-not-summing-to-one",
+        "text-weight",
+        "huge-weight",
+        "huge-learning-rate",
+        "no-records",
+    ],
+)
+def test_config_errors_exit_two_not_a_traceback(tmp_path, capsys, edit, field):
+    scenario = tmp_path / "scenario.bx"
+    assert main(["init", "--out", str(scenario), "--profile", "demo"]) == 0
+    value = json.loads(scenario.read_text())
+    edit(value)
+    scenario.write_text(json.dumps(value))
+    capsys.readouterr()
+    assert main(["run", "--scenario", str(scenario), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and field in err
+
+
+def test_line_breaks_of_the_ledger_are_checked(tmp_path, capsys):
+    out = _init_and_run(tmp_path)
+    path = out / LEDGER_FILE
+    clean = path.read_bytes()
+    blocks = clean.count(b"\n")
+    lines = clean.split(b"\n")
+    cases = {
+        clean + b" \t\n\n": blocks,
+        b"\n".join(lines[:3] + [b"  "] + lines[3:]): 3,
+        b"\n".join(lines[:3] + [b""] + lines[3:]): 3,
+        clean[:-1]: blocks - 1,
+        clean.replace(b"\n", b"\r\n", 1): 0,
+    }
+    for data, verdict in cases.items():
+        path.write_bytes(data)
+        capsys.readouterr()
+        assert main(["verify-chain", "--ledger", str(path)]) == 1
+        assert capsys.readouterr().out == f"corrupt at block {verdict}\n"
+
+    # tamper finds the last block by its line, with or without its final newline
+    last_line = len(clean) - len(lines[-2]) - 1
+    for data in (clean, clean[:-1]):
+        path.write_bytes(data)
+        assert main(["tamper", "--world", str(out), "--target", "block:14", "--offset", "3"]) == 0
+        expected = bytearray(data)
+        expected[last_line + 3] ^= 0x01
+        assert path.read_bytes() == expected
+    assert main(["tamper", "--world", str(out), "--target", "block:15", "--offset", "3"]) == 2

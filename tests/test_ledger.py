@@ -18,6 +18,7 @@ from bxhf.ledger import (
     TransactionValidationError,
     _encode_transactions,
     _is_hash,
+    _sliced_tx_ids,
     _tx_digest,
     build_transaction,
     dump_ledger,
@@ -239,8 +240,9 @@ def test_single_emission_encoder_matches_canonical_batch_and_tx_ids():
             batch.append(build_transaction(kind, _random_text(rng), clock.next(), body))
         batches.append(batch)
     for batch in batches:
-        tx_ids, payload = _encode_transactions(batch)
+        tx_ids, payload, ends = _encode_transactions(batch)
         assert payload == canonicalize([tx.to_value() for tx in batch])
+        assert _sliced_tx_ids(payload, ends) == tx_ids
         assert tx_ids == [_tx_digest(tx.kind, tx.actor, tx.logical_time, tx.body) for tx in batch]
         assert tx_ids == [tx.tx_id for tx in batch]
 
@@ -442,7 +444,7 @@ def test_load_ledger_lenient_skips_damage_but_reports_it():
     chain = _chain_with_blocks(3)
     lines = dump_ledger(chain).splitlines()
     lines[1] = "not a block"
-    loaded = load_ledger_lenient("\n".join(lines))
+    loaded = load_ledger_lenient("\n".join(lines) + "\n")
     assert loaded.damaged == 1
     assert len(loaded.blocks) == 3  # damaged line dropped
     assert loaded.verify_chain() == 1
@@ -528,7 +530,7 @@ def test_lenient_load_reports_damage_but_does_not_verify():
     forged = loads(lines[1])
     forged["block_hash"] = "0" * 64
     lines[1] = dumps(forged)
-    text = "\n".join(lines)
+    text = "\n".join(lines) + "\n"
     loaded = load_ledger_lenient(text)
     assert loaded.damaged is None and len(loaded) == 3
     assert loaded.verify_chain() == verify_dump(text) == 1
@@ -594,3 +596,122 @@ def test_dump_is_deterministic():
     b = dump_ledger(_chain_with_blocks(4))
     assert a == b
     assert dumps(loads(a.splitlines()[1])) == a.splitlines()[1]
+
+
+def _rehashed(lines: list[bytes], index: int, edit) -> bytes:
+    """The dump with ``edit`` applied to the value of block ``index``, its
+    payload hash and every later hash link recomputed over the edited bytes."""
+    out = lines[:index]
+    prev_hash = loads(lines[index - 1])["block_hash"]
+    for i in range(index, len(lines)):
+        value = loads(lines[i])
+        if i == index:
+            edit(value)
+        value["prev_hash"] = prev_hash
+        value["payload_hash"] = digest(canonicalize(value["transactions"]))
+        header = {k: value[k] for k in ("index", "payload_hash", "prev_hash")}
+        value["block_hash"] = prev_hash = digest_value(header)
+        out.append(canonicalize(value))
+    return b"".join(line + b"\n" for line in out)
+
+
+def _varied_chain() -> Ledger:
+    """Blocks of several transactions, with non-ASCII text and a nested
+    ``tx_id`` key in their bodies."""
+    chain = Ledger()
+    clock = LogicalClock()
+    chain.append_block([_registration(clock, "r0"), _decision(clock, "r0")])
+    body = {
+        "record_id": "r1",
+        "institution_id": "hôpital-é",
+        "commitment": "cd" * 32,
+        "note": "é→中😀",
+        "nested": {"tx_id": "ef" * 32, "text": ',"tx_id":"' + "0" * 64 + '"}'},
+    }
+    unusual = build_transaction("DataRegistration", "hôpital-é→中😀", clock.next(), body)
+    chain.append_block([unusual, _registration(clock, "r2"), _decision(clock, "r1", "deny")])
+    chain.append_block([_registration(clock, "r3")])
+    return chain
+
+
+def test_verify_dump_emits_nothing(monkeypatch):
+    import bxhf.canon
+    import bxhf.ledger
+
+    data = dump_ledger(_varied_chain()).encode()
+    lines = data.split(b"\n")[:-1]
+    flipped = bytearray(data)
+    flipped[len(lines[0]) + 1 + 200] ^= 0x01
+    edit = lambda v: v["transactions"][0]["body"].update(record_id="x")  # noqa: E731
+    dumps = {
+        "clean": data,
+        "flipped": bytes(flipped),
+        "rehashed-edit": _rehashed(lines, 1, edit),
+        "bad-tx-id": data.replace(lines[2][-80:], lines[2][-80:].replace(b"a", b"b", 1)),
+    }
+    before = {name: verify_dump(dump) for name, dump in dumps.items()}
+    assert before == {"clean": None, "flipped": 1, "rehashed-edit": 1, "bad-tx-id": 2}
+
+    def no_emission(*args, **kwargs):
+        raise AssertionError("verify_dump emitted canonical notation")
+
+    for module in (bxhf.canon, bxhf.ledger):
+        monkeypatch.setattr(module, "canonicalize", no_emission)
+    monkeypatch.setattr(bxhf.canon, "dumps", no_emission)
+    assert {name: verify_dump(dump) for name, dump in dumps.items()} == before
+    assert load_ledger(data).verify_chain() is None
+
+
+def test_replaced_transaction_or_bytes_in_memory_are_encoded_again():
+    for chain in (_varied_chain(), load_ledger(dump_ledger(_varied_chain()))):
+        block = chain.blocks[2]
+        original = block.transactions[0]
+        block.transactions[0] = Transaction(
+            original.tx_id, original.kind, original.actor, original.logical_time,
+            dict(original.body, record_id="forged"),
+        )
+        assert chain.verify_chain() == 2
+        block.transactions[0] = original
+        assert chain.verify_chain() is None
+        # equal bytes in a new object verify through the full encoding
+        block.payload_bytes = bytes(bytearray(block.payload_bytes))
+        assert chain.verify_chain() is None
+        block.transactions.append(block.transactions[-1])
+        assert chain.verify_chain() == 2
+
+
+def test_extra_keys_in_a_transaction_or_after_the_payload_are_corrupt_at_their_block():
+    lines = dump_ledger(_varied_chain()).encode().split(b"\n")[:-1]
+    for edit in (
+        lambda v: v["transactions"][1].update(zzz=1),
+        lambda v: v["transactions"][1].update(tx_ie=1),
+        lambda v: v.update(zzz=1),
+    ):
+        forged = _rehashed(lines, 2, edit)
+        assert verify_dump(forged) == 2
+        assert load_ledger_lenient(forged).verify_chain() == 2
+        with pytest.raises(NotationParseError, match="block 2"):
+            load_ledger(forged)
+
+
+def test_non_ascii_text_and_nested_tx_id_keys_verify_and_flips_name_their_block():
+    chain = _varied_chain()
+    assert chain.verify_chain() is None
+    data = dump_ledger(chain).encode()
+    assert verify_dump(data) is None
+    assert load_ledger(data).verify_chain() is None
+    start = data.index(b"\n", data.index(b"\n") + 1) + 1
+    end = data.index(b"\n", start)
+    line = data[start:end]
+    assert "é→中😀".encode() in line and not line.isascii()
+    at = line.index("é→中😀".encode())
+    # every bit of the non-ASCII text, and of the tx ids after it
+    offsets = list(range(at, at + len("é→中😀".encode())))
+    for i in range(len(line)):
+        if line.startswith(b'"tx_id":"', i):
+            offsets += [i + 9, i + 9 + 63]
+    for offset in offsets:
+        for bit in range(8):
+            flipped = bytearray(data)
+            flipped[start + offset] ^= 1 << bit
+            assert verify_dump(bytes(flipped)) == 2, (offset, bit)
