@@ -83,10 +83,9 @@ def _cmd_verify_chain(args) -> int:
 
 
 def _cmd_audit(args) -> int:
-    try:
-        chain = load_ledger(Path(args.ledger).read_bytes())
-    except NotationParseError as exc:
-        print(f"ledger does not parse: {exc}", file=sys.stderr)
+    chain = load_ledger(Path(args.ledger).read_bytes())
+    if chain.damaged is not None:
+        print(f"ledger does not parse: block {chain.damaged}", file=sys.stderr)
         return 1
     trail = chain.audit_trail(args.record)
     if not trail:
@@ -204,13 +203,16 @@ def _cmd_explain(args) -> int:
     if args.record not in world.records:
         print(f"unknown record {args.record!r}", file=sys.stderr)
         return 2
+    verdict, txs = world.ledger.verified()
     decisions = [
-        tx for tx in world.ledger.audit_trail(args.record) if tx.kind == "DecisionRecord"
+        tx for tx in txs if tx.kind == "DecisionRecord" and tx.body["record_ref"] == args.record
     ]
+    status = 0
+    if verdict is not None:
+        print(f"corrupt at block {verdict}: only the blocks before it are read")
+        status = 1
     if not decisions:
         print(f"no decisions recorded for {args.record!r}")
-        return 0
-    status = 0
     for tx in decisions:
         artifacts = world.decision_artifacts.get(tx.tx_id, {})
         stored = artifacts.get("explanation")
@@ -226,7 +228,7 @@ def _cmd_explain(args) -> int:
             status = 1
             continue
         print("\n".join(lines))
-        bound = crypto.digest(stored) == tx.body.get("explanation_hash")
+        bound = crypto.digest(stored) == tx.body["explanation_hash"]
         print(f"  on-chain binding: {'ok' if bound else 'MISMATCH'}")
         if not bound:
             status = 1
@@ -295,8 +297,10 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except FileNotFoundError as exc:
-        print(f"not found: {exc.filename}", file=sys.stderr)
+    except OSError as exc:
+        if exc.filename is None:  # not about a path, e.g. a closed pipe
+            raise
+        print(f"cannot access {exc.filename}: {exc.strerror}", file=sys.stderr)
         return 2
     except NotationParseError as exc:
         print(f"file does not parse: {exc}", file=sys.stderr)

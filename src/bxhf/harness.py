@@ -41,8 +41,7 @@ from .ledger import (
     Transaction,
     build_transaction,
     dump_ledger,
-    has_valid_body,
-    load_ledger_lenient,
+    load_ledger,
 )
 from .scenario import (
     ScenarioConfig,
@@ -339,7 +338,7 @@ def run_workflow(world: WorldState) -> dict:
 
     permitted = 0
     denied = 0
-    decision_tx_ids: list[str] = []
+    decision_txs: list[Transaction] = []
     table = world.records
     for request in cfg.requests:
         batch = []
@@ -386,13 +385,15 @@ def run_workflow(world: WorldState) -> dict:
             "explanation": canon.canonicalize(explanation.to_value()),
             "prediction": canon.canonicalize(prediction_value),
         }
-        decision_tx_ids.append(decision_tx.tx_id)
+        decision_txs.append(decision_tx)
         permitted += 1
 
     # One replay stands for every institution: they all read the same shared
     # world, so their verdicts agree by construction.  Independent validators
     # would need per-institution state, which the simulation does not keep.
-    verdicts = {txid: verify_decision(world, txid) for txid in decision_tx_ids}
+    # The chain these decisions were just appended to is verified once, by
+    # score_world.
+    verdicts = {tx.tx_id: _check_decision(world, tx) for tx in decision_txs}
     mismatches = sorted(txid for txid, v in verdicts.items() if v != "valid")
 
     report = {
@@ -415,7 +416,7 @@ def run_workflow(world: WorldState) -> dict:
             },
             "5_validation": {
                 "validators": list(cfg.institution_ids),
-                "checked": len(decision_tx_ids),
+                "checked": len(decision_txs),
                 "valid": sum(1 for v in verdicts.values() if v == "valid"),
                 "consensus": True,
                 "mismatches": mismatches,
@@ -423,7 +424,7 @@ def run_workflow(world: WorldState) -> dict:
         },
         "blocks": len(world.ledger),
         "decision_count": permitted,
-        "decision_tx_ids": decision_tx_ids,
+        "decision_tx_ids": [tx.tx_id for tx in decision_txs],
         "model_hash": model.param_hash(),
         **score_world(world),
     }
@@ -435,17 +436,30 @@ def verify_decision(world: WorldState, decision_tx_id: str) -> str:
     """Re-derive one decision from on-chain data and stored artifacts.
 
     Returns ``"valid"`` or the first mismatch found, checked in dependency
-    order: ``"input"``, ``"model"``, ``"prediction"``, ``"explanation"``.
-    The chain is not verified here, so a decision whose body fails its
-    schema is an ``"input"`` mismatch, as is a record whose plaintext is not
-    a row of the config's features.  Only the decision's own record is
-    opened.
+    order: ``"chain"``, ``"input"``, ``"model"``, ``"prediction"``,
+    ``"explanation"``.  A decision is proven by its own chain prefix: the
+    blocks up to and including the one that holds it must verify, and
+    damage after it does not fail it.  An id not on the chain is a
+    ``"chain"`` mismatch when the chain does not verify (the decision may
+    have been in what was damaged), else :class:`UnknownDecisionError`.
     """
-    tx = world.ledger.find_tx(decision_tx_id)
-    if tx is None or tx.kind != "DecisionRecord":
-        raise UnknownDecisionError(decision_tx_id)
-    if not has_valid_body(tx):
-        return "input"
+    blocks = world.ledger.blocks
+    for k, block in enumerate(blocks):
+        for tx in block.transactions:
+            if tx.tx_id == decision_tx_id and tx.kind == "DecisionRecord":
+                if Ledger.from_blocks(blocks[: k + 1]).verify_chain() is not None:
+                    return "chain"
+                return _check_decision(world, tx)
+    if world.ledger.verify_chain() is not None:
+        return "chain"
+    raise UnknownDecisionError(decision_tx_id)
+
+
+def _check_decision(world: WorldState, tx: Transaction) -> str:
+    """:func:`verify_decision`'s layers after ``"chain"``, for a
+    ``DecisionRecord`` on a verified chain.  A record whose plaintext is not
+    a row of the config's features is an ``"input"`` mismatch.  Only the
+    decision's own record is opened."""
     body = tx.body
     rid = body["record_ref"]
     record = world.records.get(rid)
@@ -465,7 +479,7 @@ def verify_decision(world: WorldState, decision_tx_id: str) -> str:
     prediction_value, explanation = _derive_decision(
         world.model, spec, x, rid, body["input_commitment"]
     )
-    artifacts = world.decision_artifacts.get(decision_tx_id, {})
+    artifacts = world.decision_artifacts.get(tx.tx_id, {})
     stored_prediction = artifacts.get("prediction")
     if stored_prediction is None or crypto.digest(stored_prediction) != body["prediction_hash"]:
         return "prediction"
@@ -627,17 +641,17 @@ def load_world(world_dir: str | Path) -> WorldState:
 
     ``world.bx`` holds the keys, the sealed records, the stored decision
     artifacts and the model; the scripted requests are read from the
-    scenario, and ``report.bx`` into ``report``.  The ledger is loaded
-    leniently and not verified here: damaged lines are dropped, and the
-    damage travels with the ledger, so scoring verifies the chain once and
-    reports it.  Consent is not replayed (``registry`` is None; see
-    :class:`WorldState`).  Records are opened when a check or the datasets
-    read them, each at most once.  A ``world.bx`` that parses but is not
-    shaped like a saved world raises :class:`~bxhf.canon.NotationParseError`.
+    scenario, and ``report.bx`` into ``report``.  The ledger is loaded up to
+    its first damaged line and not verified here; the damage travels with
+    it, and every reader reads only the verified prefix.  Consent is not
+    replayed (``registry`` is None; see :class:`WorldState`).  Records are
+    opened when a check or the datasets read them, each at most once.  A
+    ``world.bx`` that parses but is not shaped like a saved world raises
+    :class:`~bxhf.canon.NotationParseError`.
     """
     base = Path(world_dir)
     config = load_config((base / SCENARIO_FILE).read_bytes())
-    ledger = load_ledger_lenient((base / LEDGER_FILE).read_bytes())
+    ledger = load_ledger((base / LEDGER_FILE).read_bytes())
     value = read_canonical(base / WORLD_FILE)
     try:
         keys = crypto.KeyTable.from_value(value["keys"])

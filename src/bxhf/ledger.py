@@ -33,9 +33,7 @@ __all__ = [
     "build_transaction",
     "dump_ledger",
     "dump_lines",
-    "has_valid_body",
     "load_ledger",
-    "load_ledger_lenient",
     "verify_dump",
 ]
 
@@ -164,19 +162,6 @@ class Transaction:
         }
 
 
-def has_valid_body(tx: Transaction) -> bool:
-    """Does the transaction's kind and body pass its schema?  Readers of a
-    leniently loaded, unverified ledger use this to skip what
-    :meth:`Ledger.verify_chain` would call corrupt.  The schema is what the
-    readers need: a ``ConsentUpdate`` body that passes it builds an
-    ``access.AccessPolicy``, and every identifier is text."""
-    try:
-        _validate_body(tx.kind, tx.body)
-    except TransactionValidationError:
-        return False
-    return True
-
-
 def _tx_digest(kind: str, actor: str, logical_time: int, body: dict) -> str:
     return digest(
         canonicalize(
@@ -209,9 +194,6 @@ class LogicalClock:
         value = self._next
         self._next += 1
         return value
-
-    def peek(self) -> int:
-        return self._next
 
 
 @dataclass
@@ -306,7 +288,6 @@ class Ledger:
 
     def __init__(self):
         self.blocks: list[Block] = [_make_block(0, ZERO_HASH, [], _GENESIS_PAYLOAD, [])]
-        self._tx_index: dict[str, Transaction] = {}
         # index of the first dump line that did not load; None when built in memory
         self.damaged: int | None = None
 
@@ -319,7 +300,6 @@ class Ledger:
         :meth:`verify_chain` reports it."""
         ledger = cls.__new__(cls)
         ledger.blocks = blocks
-        ledger._tx_index = {tx.tx_id: tx for block in blocks for tx in block.transactions}
         ledger.damaged = damaged
         return ledger
 
@@ -363,12 +343,11 @@ class Ledger:
             floor = tx.logical_time
         block = _make_block(len(self.blocks), self.head.block_hash, txs, payload, ends)
         self.blocks.append(block)
-        for tx in txs:
-            self._tx_index[tx.tx_id] = tx
         return block
 
     def find_tx(self, tx_id: str) -> Transaction | None:
-        return self._tx_index.get(tx_id)
+        """The first transaction on the chain with that id, verified or not."""
+        return next((tx for tx in self.iter_txs() if tx.tx_id == tx_id), None)
 
     def iter_txs(self):
         for block in self.blocks:
@@ -413,7 +392,9 @@ class Ledger:
             if _block_hash(block.index, block.prev_hash, block.payload_hash) != block.block_hash:
                 return i
             for tx in block.transactions:
-                if not has_valid_body(tx):
+                try:
+                    _validate_body(tx.kind, tx.body)
+                except TransactionValidationError:
                     return i
                 if not _is_int(tx.logical_time) or tx.logical_time <= prev_time:
                     return i
@@ -436,6 +417,13 @@ class Ledger:
             if any(tx.tx_id != tx_id for tx, tx_id in zip(block.transactions, tx_ids)):
                 return i
         return self.damaged if self.blocks else 0
+
+    def verified(self) -> tuple[int | None, list[Transaction]]:
+        """:meth:`verify_chain`'s verdict and the transactions of every block
+        before the first corrupt one, in chain order: all that a reader may
+        trust.  Each of them passed its schema."""
+        verdict = self.verify_chain()
+        return verdict, [tx for block in self.blocks[:verdict] for tx in block.transactions]
 
     def audit_trail(self, record_id: str) -> list[Transaction]:
         """All transactions referencing a record, in chain order.
@@ -572,71 +560,51 @@ def dump_lines(data: bytes) -> list[bytes]:
     return lines
 
 
-def _parse_dump(data: bytes | str, skip_damaged: bool) -> tuple[list[Block], int | None]:
+def _parse_dump(data: bytes | str) -> tuple[list[Block], int | None]:
     """Parse a ledger dump, one block per line, each line exactly once.
 
     Every block must be followed by exactly one ``"\n"``, and nothing else
     may follow: an empty or whitespace line is damaged, and so is a last
     line with no newline.  A line that is not UTF-8 or is not exactly a
-    canonical block map is damaged too.  Each block's payload bytes are the
-    file's own bytes, never a re-encoding.  Returns the blocks that parsed
-    and the index of the first damaged line (None if there is none).
-    Parsing stops at that line unless ``skip_damaged``, in which case
-    damaged lines are left out.
+    canonical block map is damaged too, and a dump with no line is damaged
+    at line 0.  Each block's payload bytes are the file's own bytes, never a
+    re-encoding.  Parsing stops at the first damaged line; returns the
+    blocks before it and its index (None if there is none).
     """
     if isinstance(data, str):
         # a lone surrogate survives to fail UTF-8 decoding: damage at its line
         data = data.encode("utf-8", "surrogatepass")
     lines = dump_lines(data)
+    if not lines:
+        return [], 0
     unterminated = len(lines) - 1 if not data.endswith(b"\n") else None
     blocks: list[Block] = []
-    damaged = None
     for i, line in enumerate(lines):
         try:
             if i == unterminated:
                 raise NotationParseError(f"block {i} is not followed by a newline")
             blocks.append(_block_from_line(line))
         except ValueError:  # not UTF-8, or not a canonical block map
-            if damaged is None:
-                damaged = i
-            if not skip_damaged:
-                break
-    return blocks, damaged
-
-
-def verify_dump(data: bytes | str) -> int | None:
-    """Verify a ledger dump file, tolerating damaged lines.
-
-    Parsing stops at the first damaged line, and :meth:`Ledger.verify_chain`
-    on the blocks before it gives the verdict: the earliest corrupt block, or
-    the damaged line itself when those verify.  An empty dump is corrupt at
-    block 0.
-    """
-    return Ledger.from_blocks(*_parse_dump(data, skip_damaged=False)).verify_chain()
-
-
-def load_ledger_lenient(data: bytes | str) -> Ledger:
-    """Load a possibly damaged dump for inspection, without verifying it.
-
-    Damaged lines (see :func:`_parse_dump`; a line not canonical around its
-    payload is damage) are dropped from the returned chain, and its
-    ``damaged`` attribute is the index of the first of them (None if every
-    line loaded).  Payload bytes are the file's own bytes.
-    :meth:`Ledger.verify_chain` on the result checks integrity and reports
-    that damage, exactly as :func:`verify_dump` does on the same bytes.
-    """
-    return Ledger.from_blocks(*_parse_dump(data, skip_damaged=True))
+            return blocks, i
+    return blocks, None
 
 
 def load_ledger(data: bytes | str) -> Ledger:
-    """Reconstruct a ledger from a dump, payload bytes being the file's own.
+    """The ledger a dump holds, unverified; its payload bytes are the file's own.
 
-    Structural validity only: a damaged line, a non-canonical one included,
-    raises :class:`NotationParseError` naming its block.  Run
-    :meth:`Ledger.verify_chain` to check integrity."""
-    blocks, damaged = _parse_dump(data, skip_damaged=False)
-    if damaged is not None:
-        raise NotationParseError(f"block {damaged} of the ledger dump does not parse")
-    if not blocks:
-        raise NotationParseError("ledger dump is empty")
-    return Ledger.from_blocks(blocks)
+    Never raises for damage: the blocks before the first damaged line (see
+    :func:`_parse_dump`) are loaded, and the ledger's ``damaged`` attribute
+    is that line's index (None if every line loaded).
+    :meth:`Ledger.verify_chain` checks integrity and reports the damage;
+    :meth:`Ledger.verified` gives what a reader may trust.
+    """
+    return Ledger.from_blocks(*_parse_dump(data))
+
+
+def verify_dump(data: bytes | str) -> int | None:
+    """Verify a ledger dump file: :meth:`Ledger.verify_chain` on
+    :func:`load_ledger`'s result, i.e. the earliest corrupt block, or the
+    first damaged line when the blocks before it verify.  An empty dump is
+    corrupt at block 0.
+    """
+    return load_ledger(data).verify_chain()

@@ -10,6 +10,9 @@ ledger state:
 * auditability: on-chain access decisions per scripted access request,
   capped at one.
 
+Registrations and access decisions count only on the chain's verified
+prefix.
+
 The trust objective couples model quality to that score:
 
     objective = empirical_loss + penalty_weight * mean_penalty
@@ -29,7 +32,7 @@ from dataclasses import dataclass
 
 from . import crypto
 from .learning import Dataset, FeatureSpec, LinearModel, loss, mean_sign_violation
-from .ledger import Ledger, has_valid_body
+from .ledger import Ledger
 
 __all__ = [
     "SecurityReport",
@@ -84,20 +87,22 @@ def security_score(
     ``record_table``, checked with ``keys``, against ``requests``, the number
     of access requests the scenario scripts.
 
-    The ledger is not assumed to verify: registrations whose body fails its
-    schema are not read (the chain check already zeroes integrity).
+    One :meth:`~bxhf.ledger.Ledger.verified` walk gives the chain verdict,
+    which gates integrity, and the registrations and access decisions read.
     """
     w_i, w_p, w_a = weights
     if min(w_i, w_p, w_a) < 0 or abs(w_i + w_p + w_a - 1.0) > 1e-9:
         raise ValueError("weights must be non-negative and sum to 1")
 
-    registered = {
-        tx.body["record_id"]: tx.body["commitment"]
-        for tx in ledger.iter_txs()
-        if tx.kind == "DataRegistration" and has_valid_body(tx)
-    }
+    verdict, txs = ledger.verified()
+    registered = {}
+    decisions = 0
+    for tx in txs:
+        if tx.kind == "DataRegistration":
+            registered[tx.body["record_id"]] = tx.body["commitment"]
+        elif tx.kind == "AccessDecision":
+            decisions += 1
 
-    chain_ok = ledger.verify_chain() is None
     if registered:
         ok = sum(
             1
@@ -108,14 +113,13 @@ def security_score(
         record_fraction = ok / len(registered)
     else:
         record_fraction = 1.0
-    integrity = (1.0 if chain_ok else 0.0) * record_fraction
+    integrity = (1.0 if verdict is None else 0.0) * record_fraction
 
     if record_table:
         provenance = sum(1 for rid in record_table if rid in registered) / len(record_table)
     else:
         provenance = 1.0
 
-    decisions = ledger.count_kind("AccessDecision")
     if requests == 0:
         auditability = 1.0
     else:

@@ -17,6 +17,7 @@ from bxhf.harness import (
     read_canonical,
     write_canonical,
 )
+from bxhf.ledger import Ledger
 
 
 def _init_and_run(tmp_path: Path, profile: str = "demo", seed: int | None = None) -> Path:
@@ -163,7 +164,7 @@ def test_record_missing_a_feature_fails_score_not_other_decisions(tmp_path, caps
     assert capsys.readouterr().out == "mismatch: input\n"
 
     # committed to as well, in world.bx and in the decision (no hash fixed):
-    # the replay cannot read the record, which is still an input mismatch
+    # the decision's own block no longer verifies
     commitment = crypto.commit(plaintext, b"\x02" * crypto.SALT_LEN)
     value["records"][damaged]["commitment"] = commitment.to_value()
     write_canonical(out / WORLD_FILE, value)
@@ -173,7 +174,7 @@ def test_record_missing_a_feature_fails_score_not_other_decisions(tmp_path, caps
     lines[index] = lines[index].replace(old_digest.encode(), commitment.digest.encode())
     (out / LEDGER_FILE).write_bytes(b"\n".join(lines))
     assert main(["verify-decision", "--world", str(out), "--decision", decisions[0]]) == 1
-    assert capsys.readouterr().out == "mismatch: input\n"
+    assert capsys.readouterr().out == "mismatch: chain\n"
 
 
 @pytest.mark.parametrize(
@@ -388,3 +389,99 @@ def test_line_breaks_of_the_ledger_are_checked(tmp_path, capsys):
         expected[last_line + 3] ^= 0x01
         assert path.read_bytes() == expected
     assert main(["tamper", "--world", str(out), "--target", "block:15", "--offset", "3"]) == 2
+
+
+def _decision_on(out: Path, record: str) -> str:
+    return next(d for d in _report(out)["decision_tx_ids"] if _record_of(out, d) == record)
+
+
+def test_decision_and_explain_fail_when_the_decisions_block_does_not_verify(tmp_path, capsys):
+    """``"granted"`` becomes ``"grantee"`` in block 9, which holds the
+    decision on st-marys-r000; no hash is fixed."""
+    out = _init_and_run(tmp_path)
+    decision = _decision_on(out, "st-marys-r000")
+    assert main(["tamper", "--world", str(out), "--target", "block:9", "--offset", "352"]) == 0
+    assert b'"reason":"grantee"' in (out / LEDGER_FILE).read_bytes().split(b"\n")[9]
+    capsys.readouterr()
+    assert main(["verify-chain", "--ledger", str(out / LEDGER_FILE)]) == 1
+    assert capsys.readouterr().out == "corrupt at block 9\n"
+    assert main(["verify-decision", "--world", str(out), "--decision", decision]) == 1
+    assert capsys.readouterr().out == "mismatch: chain\n"
+    assert main(["explain", "--world", str(out), "--record", "st-marys-r000"]) == 1
+    stdout = capsys.readouterr().out
+    assert stdout.startswith("corrupt at block 9:")
+    assert "no decisions recorded for 'st-marys-r000'" in stdout
+
+
+def test_damage_after_a_decisions_block_does_not_fail_it(tmp_path, capsys):
+    out = _init_and_run(tmp_path)
+    decision = _decision_on(out, "st-marys-r000")
+    assert main(["tamper", "--world", str(out), "--target", "block:14", "--offset", "300"]) == 0
+    capsys.readouterr()
+    assert main(["verify-chain", "--ledger", str(out / LEDGER_FILE)]) == 1
+    assert capsys.readouterr().out == "corrupt at block 14\n"
+    assert main(["verify-decision", "--world", str(out), "--decision", decision]) == 0
+    assert capsys.readouterr().out == "valid\n"
+    # explain shows the verified decision and still fails on the damage
+    assert main(["explain", "--world", str(out), "--record", "st-marys-r000"]) == 1
+    stdout = capsys.readouterr().out
+    assert stdout.startswith("corrupt at block 14:")
+    assert f"decision {decision}" in stdout and "on-chain binding: ok" in stdout
+
+
+def test_unknown_decision_is_a_chain_mismatch_only_on_a_corrupt_chain(tmp_path, capsys):
+    out = _init_and_run(tmp_path)
+    argv = ["verify-decision", "--world", str(out), "--decision", "f" * 64]
+    capsys.readouterr()
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"unknown decision id {'f' * 64!r}\n"
+    assert main(["tamper", "--world", str(out), "--target", "block:14", "--offset", "300"]) == 0
+    capsys.readouterr()
+    assert main(argv) == 1
+    assert capsys.readouterr().out == "mismatch: chain\n"
+
+
+def test_run_verifies_the_chain_once(tmp_path, monkeypatch):
+    calls = []
+    verify_chain = Ledger.verify_chain
+
+    def counted(ledger):
+        calls.append(len(ledger.blocks))
+        return verify_chain(ledger)
+
+    monkeypatch.setattr(Ledger, "verify_chain", counted)
+    _init_and_run(tmp_path)
+    assert calls == [15]
+
+
+def test_score_counts_only_verified_registrations_and_decisions(tmp_path, capsys):
+    """The demo registers 10 records per institution in blocks 1 and 2 and
+    logs its 6 access decisions in blocks 9 to 14, one per block."""
+    for block, provenance, auditability in ((11, 1.0, 2 / 6), (2, 0.5, 0.0)):
+        out = _init_and_run(tmp_path / str(block))
+        argv = ["tamper", "--world", str(out), "--target", f"block:{block}", "--offset", "400"]
+        assert main(argv) == 0
+        capsys.readouterr()
+        assert main(["score", "--world", str(out)]) == 1
+        security = json.loads(capsys.readouterr().out)["security"]
+        assert security["integrity"] == 0.0
+        assert security["provenance"] == pytest.approx(provenance)
+        assert security["auditability"] == pytest.approx(auditability)
+
+
+@pytest.mark.parametrize(
+    "make_argv",
+    [
+        lambda d, f: ["verify-chain", "--ledger", str(d)],
+        lambda d, f: ["run", "--scenario", str(d), "--out", str(d / "out")],
+        lambda d, f: ["score", "--world", str(f)],
+    ],
+    ids=["ledger-is-a-directory", "scenario-is-a-directory", "world-is-a-file"],
+)
+def test_path_of_the_wrong_type_exits_two(tmp_path, capsys, make_argv):
+    directory = tmp_path / "dir"
+    directory.mkdir()
+    file = tmp_path / "file"
+    file.write_bytes(b"")
+    assert main(make_argv(directory, file)) == 2
+    assert capsys.readouterr().err.startswith("cannot access ")

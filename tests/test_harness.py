@@ -270,7 +270,7 @@ def test_save_and_load_round_trip(tmp_path, profile):
         assert verify_decision(loaded, txid) == "valid"
     assert score_world(loaded) == score_world(world)
     # the loaded clock continues past everything on the chain
-    assert loaded.clock.peek() > world.ledger.max_logical_time()
+    assert loaded.clock.next() > world.ledger.max_logical_time()
 
 
 def test_load_flags_unreadable_records(tmp_path):

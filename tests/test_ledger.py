@@ -8,7 +8,7 @@ import random
 import pytest
 
 from bxhf.access import AccessPolicy
-from bxhf.canon import NotationParseError, canonicalize, dumps, loads
+from bxhf.canon import canonicalize, dumps, loads
 from bxhf.crypto import ZERO_HASH, digest, digest_value
 from bxhf.ledger import (
     Ledger,
@@ -22,9 +22,7 @@ from bxhf.ledger import (
     _tx_digest,
     build_transaction,
     dump_ledger,
-    has_valid_body,
     load_ledger,
-    load_ledger_lenient,
     verify_dump,
 )
 
@@ -336,10 +334,18 @@ def test_mistyped_fields_are_schema_failures_at_their_block(edit):
 )
 def test_consent_body_passing_its_schema_builds_a_policy(field, value):
     good = _consent(LogicalClock()).body
-    assert has_valid_body(Transaction("0" * 64, "ConsentUpdate", "a", 1, good))
+    build_transaction("ConsentUpdate", "a", 1, good)
     AccessPolicy.from_value(good)
     bad = dict(good, **{field: value})
-    assert not has_valid_body(Transaction("0" * 64, "ConsentUpdate", "a", 1, bad))
+    with pytest.raises(TransactionValidationError):
+        build_transaction("ConsentUpdate", "a", 1, bad)
+    chain = Ledger()
+    clock = LogicalClock()
+    chain.append_block([_registration(clock, "r1")])
+    chain.append_block([_consent(clock)])
+    tx = chain.blocks[2].transactions[0]
+    chain.blocks[2].transactions[0] = Transaction(tx.tx_id, tx.kind, tx.actor, tx.logical_time, bad)
+    assert chain.verify_chain() == 2
 
 
 @pytest.mark.parametrize(
@@ -440,14 +446,17 @@ def test_verify_dump_clean():
     assert verify_dump(dump_ledger(_chain_with_blocks(3))) is None
 
 
-def test_load_ledger_lenient_skips_damage_but_reports_it():
+def test_load_ledger_stops_at_damage_and_reports_it():
     chain = _chain_with_blocks(3)
     lines = dump_ledger(chain).splitlines()
     lines[1] = "not a block"
-    loaded = load_ledger_lenient("\n".join(lines) + "\n")
+    loaded = load_ledger("\n".join(lines) + "\n")
     assert loaded.damaged == 1
-    assert len(loaded.blocks) == 3  # damaged line dropped
+    assert len(loaded.blocks) == 1  # the blocks before the damaged line
     assert loaded.verify_chain() == 1
+    assert loaded.verified() == (1, [])
+    empty = load_ledger(b"")
+    assert empty.damaged == 0 and empty.blocks == [] and empty.verify_chain() == 0
 
 
 def test_non_canonical_payload_bytes_are_rejected_even_with_matching_hashes():
@@ -477,8 +486,7 @@ def test_re_spaced_line_is_damage_at_its_block():
         assert json.loads(tampered[2]) == json.loads(lines[2])
         assert verify_dump(b"\n".join(tampered)) == 2, respace(lines[2])
         # re-spacing is damage already when loading
-        with pytest.raises(NotationParseError, match="block 2"):
-            load_ledger(b"\n".join(tampered))
+        assert load_ledger(b"\n".join(tampered)).damaged == 2
 
 
 def test_dump_writes_the_stored_payload_bytes():
@@ -510,10 +518,8 @@ def test_undecodable_line_is_damage_at_its_block():
     third_line = data.index(b"\n", data.index(b"\n") + 1) + 1
     data[third_line + 5] ^= 0x80
     assert verify_dump(bytes(data)) == 2
-    loaded = load_ledger_lenient(bytes(data))
-    assert loaded.damaged == 2 and len(loaded.blocks) == 3
-    with pytest.raises(NotationParseError, match="block 2"):
-        load_ledger(bytes(data))
+    loaded = load_ledger(bytes(data))
+    assert loaded.damaged == 2 and len(loaded.blocks) == 2
 
 
 def test_line_that_parses_but_is_not_a_block_is_damage():
@@ -521,17 +527,16 @@ def test_line_that_parses_but_is_not_a_block_is_damage():
     for not_a_block in ("[]", '{"index":1}', '{"transactions":7}', "1e999"):
         damaged = "\n".join([lines[0], not_a_block, lines[2]])
         assert verify_dump(damaged) == 1
-        with pytest.raises(NotationParseError):
-            load_ledger(damaged)
+        assert load_ledger(damaged).damaged == 1
 
 
-def test_lenient_load_reports_damage_but_does_not_verify():
+def test_load_reports_damage_but_does_not_verify():
     lines = dump_ledger(_chain_with_blocks(2)).splitlines()
     forged = loads(lines[1])
     forged["block_hash"] = "0" * 64
     lines[1] = dumps(forged)
     text = "\n".join(lines) + "\n"
-    loaded = load_ledger_lenient(text)
+    loaded = load_ledger(text)
     assert loaded.damaged is None and len(loaded) == 3
     assert loaded.verify_chain() == verify_dump(text) == 1
 
@@ -540,7 +545,7 @@ def test_damage_index_is_the_verdict_when_the_blocks_before_it_verify():
     blocks = _chain_with_blocks(4).blocks
     for k in range(len(blocks) + 1):
         assert Ledger.from_blocks(blocks[:k], damaged=k).verify_chain() == k
-    # a lenient load keeps the blocks after the damaged line; they are not reached
+    # blocks after the damaged line are not reached
     assert Ledger.from_blocks(blocks[:2] + blocks[3:], damaged=2).verify_chain() == 2
     assert Ledger.from_blocks(blocks).verify_chain() is None
     assert Ledger.from_blocks([]).verify_chain() == 0
@@ -549,6 +554,15 @@ def test_damage_index_is_the_verdict_when_the_blocks_before_it_verify():
     forged = _chain_with_blocks(4).blocks
     forged[1].block_hash = "0" * 64
     assert Ledger.from_blocks(forged[:3], damaged=3).verify_chain() == 1
+
+
+def test_verified_is_the_transactions_before_the_first_corrupt_block():
+    chain = _chain_with_blocks(4)
+    every = [tx for block in chain.blocks for tx in block.transactions]
+    assert chain.verified() == (None, every)
+    chain.blocks[3].payload_bytes = b" " + chain.blocks[3].payload_bytes
+    assert chain.verified() == (3, every[:2])
+    assert Ledger.from_blocks([]).verified() == (0, [])
 
 
 def test_audit_trail_in_time_order():
@@ -689,9 +703,7 @@ def test_extra_keys_in_a_transaction_or_after_the_payload_are_corrupt_at_their_b
     ):
         forged = _rehashed(lines, 2, edit)
         assert verify_dump(forged) == 2
-        assert load_ledger_lenient(forged).verify_chain() == 2
-        with pytest.raises(NotationParseError, match="block 2"):
-            load_ledger(forged)
+        assert load_ledger(forged).damaged == 2
 
 
 def test_non_ascii_text_and_nested_tx_id_keys_verify_and_flips_name_their_block():

@@ -10,12 +10,13 @@ re-spaced without changing their value, a forged transaction whose hashes
 were all recomputed, and damage in two places at once.
 
 ``score`` must agree with ``verify-chain`` on a damaged ledger, ``audit``
-(which does not verify) must print no traceback for a forged one, neither
-may ``score``, ``verify-decision`` or ``explain`` for a transaction body that
-fails its schema, a body the readers cannot use must fail that schema even
-with every hash recomputed, a block damaged in memory must stay damaged in
-the saved file, and a seeded sample of flips of the demo ``world.bx`` must
-give every reading command an exit code, never a traceback.
+(which does not verify) must print no traceback for a forged one, a
+transaction body that fails its schema must fail ``score``,
+``verify-decision`` and ``explain`` at the chain, a body the readers cannot
+use must fail that schema even with every hash recomputed, a block damaged
+in memory must stay damaged in the saved file, and a seeded sample of flips
+of the demo ``world.bx`` must give every reading command an exit code, never
+a traceback.
 """
 
 from __future__ import annotations
@@ -253,23 +254,22 @@ def _record_ref_missing(tx):
 
 
 @pytest.mark.parametrize(
-    "kind, edit, decision_rc",
+    "kind, edit",
     [
-        ("ConsentUpdate", _body_is_seven, 0),
-        ("ConsentUpdate", _valid_from_is_text, 0),
-        ("DataRegistration", _body_is_seven, 0),
-        ("DecisionRecord", _body_is_seven, 1),
-        ("DecisionRecord", _record_ref_missing, 1),
+        ("ConsentUpdate", _body_is_seven),
+        ("ConsentUpdate", _valid_from_is_text),
+        ("DataRegistration", _body_is_seven),
+        ("DecisionRecord", _body_is_seven),
+        ("DecisionRecord", _record_ref_missing),
     ],
     ids=["consent-body", "consent-valid-from", "registration-body", "decision-body", "decision-ref"],
 )
 def test_body_failing_its_schema_is_skipped_not_read(
-    world_dir, ledger, kind, edit, decision_rc, tmp_path, capsys
+    world_dir, ledger, kind, edit, tmp_path, capsys
 ):
-    """The first ``kind`` transaction's body edited, no hash fixed: ``score``
-    fails integrity, and the commands that do not verify the chain exit 0
-    when the decision they read still replays (``input`` when it is the
-    forged one)."""
+    """The first ``kind`` transaction's body edited, no hash fixed, in a
+    block at or before the first decision's: ``score`` fails integrity, the
+    decision fails at the chain, and ``explain`` exits 1."""
     lines = ledger.split(b"\n")
     index, block = next(
         (i, block)
@@ -285,9 +285,10 @@ def test_body_failing_its_schema_is_skipped_not_read(
     capsys.readouterr()
     assert main(["score", "--world", str(world)]) == 1
     assert '"integrity": 0.0' in capsys.readouterr().out
-    assert main(["verify-decision", "--world", str(world), "--decision", decision]) == decision_rc
-    assert capsys.readouterr().out == ("valid\n" if decision_rc == 0 else "mismatch: input\n")
-    assert main(["explain", "--world", str(world), "--record", "st-marys-r000"]) == 0
+    assert main(["verify-decision", "--world", str(world), "--decision", decision]) == 1
+    assert capsys.readouterr().out == "mismatch: chain\n"
+    assert main(["explain", "--world", str(world), "--record", "st-marys-r000"]) == 1
+    assert capsys.readouterr().out.startswith(f"corrupt at block {index}:")
 
 
 @pytest.mark.parametrize("rehash", [False, True], ids=["unhashed", "rehashed"])
@@ -313,7 +314,8 @@ def test_body_the_readers_cannot_use_fails_its_schema(
 ):
     """Each of these once made a reading command raise (``TypeError`` or
     ``ValueError``), and with every hash recomputed ``verify-chain`` called
-    the chain valid."""
+    the chain valid.  Each edited block is at or before the first
+    decision's, so that decision fails at the chain."""
     lines = ledger.split(b"\n")
     index, block = next(
         (i, block)
@@ -334,8 +336,10 @@ def test_body_the_readers_cannot_use_fails_its_schema(
     assert _verify_chain_cli(data, tmp_path, capsys) == (1, f"corrupt at block {index}\n")
     assert main(["score", "--world", str(world)]) == 1
     assert '"integrity": 0.0' in capsys.readouterr().out
-    assert main(["verify-decision", "--world", str(world), "--decision", decision]) in (0, 1, 2)
-    assert main(["explain", "--world", str(world), "--record", "st-marys-r000"]) == 0
+    assert main(["verify-decision", "--world", str(world), "--decision", decision]) == 1
+    assert capsys.readouterr().out == "mismatch: chain\n"
+    assert main(["explain", "--world", str(world), "--record", "st-marys-r000"]) == 1
+    assert capsys.readouterr().out.startswith(f"corrupt at block {index}:")
 
 
 def test_block_damaged_in_memory_stays_damaged_on_disk(tmp_path, capsys):

@@ -121,7 +121,9 @@ def test_broken_chain_zeroes_integrity_entirely():
     report = security_score(ledger, table, keys, 0)
     # every record still authenticates, but a corrupt chain gates the whole term
     assert report.integrity == 0.0
-    assert report.score == pytest.approx((0.0 + 1.0 + 1.0) / 3.0)
+    # and the registrations in its corrupt block are not read
+    assert report.provenance == 0.0
+    assert report.score == pytest.approx((0.0 + 0.0 + 1.0) / 3.0)
 
 
 def test_unregistered_record_lowers_provenance():
