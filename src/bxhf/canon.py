@@ -45,7 +45,6 @@ __all__ = [
     "dumps",
     "loads",
     "parse",
-    "scan",
 ]
 
 # Deepest container nesting the parser accepts; ledger lines nest 4 deep.
@@ -299,14 +298,6 @@ def _scan_integer(s: str, pos: int):
         return int(match.group()), match.end()
     except ValueError:  # more digits than int() converts
         raise _error("integer too long", pos) from None
-
-
-def scan(text: str, pos: int, depth: int = 0):
-    """Scan one value in strict canonical notation starting at offset ``pos``
-    of ``text``, nested in ``depth`` containers; return ``(value, offset
-    after it)``.  Readers of a larger structure use the offsets to keep the
-    exact text of each value they scanned."""
-    return _scan_value(text, pos, depth)
 
 
 def parse(text: str):

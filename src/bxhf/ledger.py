@@ -18,7 +18,7 @@ import operator
 import re
 from dataclasses import dataclass, field
 
-from .canon import CanonicalizationError, NotationParseError, canonicalize, scan
+from .canon import CanonicalizationError, NotationParseError, canonicalize, parse
 from .crypto import ZERO_HASH, digest
 
 __all__ = [
@@ -48,47 +48,36 @@ TX_KINDS = (
     "DecisionRecord",
 )
 
-# Required body fields per transaction kind.
-_BODY_FIELDS = {
-    "DataRegistration": ("record_id", "institution_id", "commitment"),
-    "ConsentUpdate": (
-        "policy_id",
-        "user_id",
-        "record_scope",
-        "purpose",
-        "valid_from",
-        "valid_until",
-        "granted",
-    ),
-    "AccessDecision": ("user_id", "record_id", "purpose", "outcome", "reason"),
-    "ModelUpdate": ("node_id", "round", "delta_digest"),
-    "DecisionRecord": (
-        "record_ref",
-        "input_commitment",
-        "model_hash",
-        "prediction_hash",
-        "explanation_hash",
-    ),
-}
-
-_HASH_FIELDS = {
-    "commitment",
-    "delta_digest",
-    "input_commitment",
-    "model_hash",
-    "prediction_hash",
-    "explanation_hash",
-}
-
-# Identifier fields, which must be text.
-_ID_FIELDS = {
-    "record_id",
-    "institution_id",
-    "policy_id",
-    "user_id",
-    "record_scope",
-    "node_id",
-    "record_ref",
+# The closed schema: each kind's body fields, in canonical (sorted) order,
+# and the type of each.  Writers check Python values against it
+# (:func:`_validate_body`); the reader matches each type as a hole in the
+# kind's byte template (:data:`_TX_TEMPLATES`).
+_SCHEMA = {
+    "DataRegistration": {"commitment": "hash", "institution_id": "text", "record_id": "text"},
+    "ConsentUpdate": {
+        "granted": "bool",
+        "policy_id": "name",
+        "purpose": "purpose",
+        "record_scope": "name",
+        "user_id": "name",
+        "valid_from": "int",
+        "valid_until": "int",
+    },
+    "AccessDecision": {
+        "outcome": "outcome",
+        "purpose": "purpose",
+        "reason": "text",
+        "record_id": "text",
+        "user_id": "text",
+    },
+    "ModelUpdate": {"delta_digest": "hash", "node_id": "text", "round": "int"},
+    "DecisionRecord": {
+        "explanation_hash": "hash",
+        "input_commitment": "hash",
+        "model_hash": "hash",
+        "prediction_hash": "hash",
+        "record_ref": "text",
+    },
 }
 
 _HASH = re.compile("[0-9a-f]{64}")
@@ -110,38 +99,60 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _is_name(value) -> bool:
+    # what access.AccessPolicy requires of its ids, so every verified policy builds one
+    return isinstance(value, str) and value != ""
+
+
+_OUTCOMES = ("permit", "deny")
+
+# type -> (check of a Python value, what the value must be)
+_CHECKS = {
+    "hash": (_is_hash, "a 64-hex-char hash"),
+    "text": (lambda value: isinstance(value, str), "text"),
+    "name": (_is_name, "non-empty text"),
+    "int": (_is_int, "an integer"),
+    "bool": (lambda value: isinstance(value, bool), "true or false"),
+    "purpose": (PURPOSES.__contains__, f"one of {PURPOSES}"),
+    "outcome": (_OUTCOMES.__contains__, f"one of {_OUTCOMES}"),
+}
+
+
+def _check_relations(kind: str, body: dict) -> None:
+    """The schema's checks across fields, which no template can make."""
+    if kind == "AccessDecision":
+        if (body["outcome"] == "permit") != (body["reason"] == "granted"):
+            raise TransactionValidationError("outcome=permit iff reason=granted")
+    elif kind == "ConsentUpdate":
+        if body["valid_from"] > body["valid_until"]:
+            raise TransactionValidationError("policy interval invalid: valid_from > valid_until")
+
+
 def _validate_body(kind: str, body: dict) -> None:
-    if not isinstance(kind, str) or kind not in _BODY_FIELDS:
+    schema = _SCHEMA.get(kind) if isinstance(kind, str) else None
+    if schema is None:
         raise TransactionValidationError(f"unknown transaction kind {kind!r}")
     if not isinstance(body, dict):
         raise TransactionValidationError(f"{kind} body must be a map")
-    required = _BODY_FIELDS[kind]
-    missing = [name for name in required if name not in body]
-    if missing:
-        raise TransactionValidationError(f"{kind} body missing fields: {missing}")
-    for name in required:
-        if name in _HASH_FIELDS and not _is_hash(body[name]):
-            raise TransactionValidationError(f"{kind}.{name} must be a 64-hex-char hash")
-        if name in _ID_FIELDS and not isinstance(body[name], str):
-            raise TransactionValidationError(f"{kind}.{name} must be text")
-    if kind in ("ConsentUpdate", "AccessDecision") and body["purpose"] not in PURPOSES:
-        raise TransactionValidationError(f"{kind}.purpose must be one of {PURPOSES}")
-    if kind == "AccessDecision":
-        outcome, reason = body["outcome"], body["reason"]
-        if outcome not in ("permit", "deny"):
-            raise TransactionValidationError(f"invalid outcome {outcome!r}")
-        if (outcome == "permit") != (reason == "granted"):
-            raise TransactionValidationError("outcome=permit iff reason=granted")
-    if kind == "ConsentUpdate":
-        # what access.AccessPolicy requires, so every verified policy builds one
-        if not (body["policy_id"] and body["user_id"] and body["record_scope"]):
-            raise TransactionValidationError("policy_id, user_id, record_scope must be non-empty")
-        if not (_is_int(body["valid_from"]) and _is_int(body["valid_until"])):
-            raise TransactionValidationError("policy interval bounds must be integers")
-        if body["valid_from"] > body["valid_until"]:
-            raise TransactionValidationError("policy interval invalid: valid_from > valid_until")
-        if not isinstance(body["granted"], bool):
-            raise TransactionValidationError("ConsentUpdate.granted must be true or false")
+    if body.keys() != schema.keys():
+        missing = [name for name in schema if name not in body]
+        extra = [name for name in body if name not in schema]
+        raise TransactionValidationError(f"{kind} body: missing fields {missing}, extra {extra}")
+    for name, type_ in schema.items():
+        check, what = _CHECKS[type_]
+        if not check(body[name]):
+            raise TransactionValidationError(f"{kind}.{name} must be {what}")
+    _check_relations(kind, body)
+
+
+def _validate_transaction(kind: str, actor: str, logical_time: int, body: dict) -> None:
+    """A transaction's schema: its body's, text ``actor`` and a positive
+    integer ``logical_time``."""
+    _validate_body(kind, body)
+    if not isinstance(actor, str):
+        raise TransactionValidationError("actor must be text")
+    if not _is_int(logical_time) or logical_time < 1:
+        raise TransactionValidationError("logical_time must be a positive integer")
 
 
 @dataclass(frozen=True)
@@ -171,10 +182,8 @@ def _tx_digest(kind: str, actor: str, logical_time: int, body: dict) -> str:
 
 
 def build_transaction(kind: str, actor: str, logical_time: int, body: dict) -> Transaction:
-    """Validate a transaction body against its kind's schema and assign its id."""
-    _validate_body(kind, body)
-    if not _is_int(logical_time) or logical_time < 1:
-        raise TransactionValidationError("logical_time must be a positive integer")
+    """Validate a transaction against its kind's schema and assign its id."""
+    _validate_transaction(kind, actor, logical_time, body)
     return Transaction(
         tx_id=_tx_digest(kind, actor, logical_time, body),
         kind=kind,
@@ -210,15 +219,15 @@ class Block:
     payload_bytes: bytes = field(repr=False, default=b"")
     # (payload bytes, transactions, byte offset at which each transaction's
     # element ends in them), recorded when the payload was encoded on append
-    # or strictly scanned on load.  It vouches for those exact objects only.
+    # or matched against the templates on load.  It vouches for those exact
+    # objects only.
     layout: tuple | None = field(default=None, repr=False, compare=False)
 
 
 # Map keys sort ``actor < body < kind < logical_time < tx_id``, so a
 # transaction's payload element is its tx-id preimage (the canonical map
-# without ``tx_id``) with the closing brace replaced by ``,"tx_id":"…"}``.
-_TX_KEYS = frozenset(("actor", "body", "kind", "logical_time", "tx_id"))
-# an element's ``,"tx_id":"<64 hex>"}``, which stands for its preimage's ``}``
+# without ``tx_id``) with the closing brace replaced by ``,"tx_id":"…"}``;
+# this is the length of that ``,"tx_id":"<64 hex>"}``.
 _TX_ID_SUFFIX = len(',"tx_id":""}') + 64
 
 
@@ -311,12 +320,10 @@ class Ledger:
         return self.blocks[-1]
 
     def max_logical_time(self) -> int:
-        """The last integer logical time on the chain (0 if there is none);
-        a loaded, unverified chain can also hold mistyped ones."""
+        """The last logical time on the chain (0 if there is none)."""
         for block in reversed(self.blocks):
-            for tx in reversed(block.transactions):
-                if _is_int(tx.logical_time):
-                    return tx.logical_time
+            if block.transactions:
+                return block.transactions[-1].logical_time
         return 0
 
     def append_block(self, txs: list[Transaction]) -> Block:
@@ -328,9 +335,7 @@ class Ledger:
         if not txs:
             raise TransactionValidationError("empty blocks are reserved for genesis")
         for tx in txs:
-            _validate_body(tx.kind, tx.body)
-            if not _is_int(tx.logical_time):
-                raise TransactionValidationError("logical_time must be a positive integer")
+            _validate_transaction(tx.kind, tx.actor, tx.logical_time, tx.body)
         tx_ids, payload, ends = _encode_transactions(txs)
         floor = self.max_logical_time()
         for tx, tx_id in zip(txs, tx_ids):
@@ -359,20 +364,23 @@ class Ledger:
     def verify_chain(self) -> int | None:
         """Return None when the chain is intact, else the first corrupt index.
 
-        A block is corrupt when a hash or link does not match, when a
-        transaction fails its schema (a non-integer index or logical time
-        included) or is out of order, or when its payload bytes are not the
-        canonical encoding of its transactions under their derived tx ids.
-        A loaded ledger is corrupt at its first damaged dump line when every
-        block before that line verifies; a ledger with no blocks at 0.
+        A block is corrupt when a hash or link does not match (a non-integer
+        index included), when a transaction fails its schema or is out of
+        order, or when its payload bytes are not the canonical encoding of
+        its transactions under their derived tx ids.  A loaded ledger is
+        corrupt at its first damaged dump line when every block before that
+        line verifies; a ledger with no blocks at 0.
 
         A block whose payload bytes and transactions are still the objects
-        its ``layout`` was recorded with is canonical by construction (it
-        was encoded on append or strictly scanned on load), so its tx ids
-        are derived from slices of the bytes.  Any other block, e.g. one
-        whose bytes or transactions were replaced, is encoded again.  Like
-        the frozen transactions, their body maps are taken as immutable: a
-        body edited in place is not seen here, and a dump never holds it.
+        its ``layout`` was recorded with is vouched for: its transactions
+        passed their schema and its bytes are canonical by construction (it
+        was encoded on append, or matched against the templates on load).
+        So its transactions are not checked again, and its tx ids are
+        derived from slices of the bytes.  Any other block, e.g. one whose
+        bytes or transactions were replaced, is checked and encoded again.
+        Like the frozen transactions, their body maps are taken as
+        immutable: a body edited in place is not seen here, and a dump never
+        holds it.
         """
         prev_time = 0
         for i, block in enumerate(self.blocks[: self.damaged]):
@@ -391,21 +399,23 @@ class Ledger:
             # the index is an integer and both hashes are hex, so the template is exact
             if _block_hash(block.index, block.prev_hash, block.payload_hash) != block.block_hash:
                 return i
-            for tx in block.transactions:
-                try:
-                    _validate_body(tx.kind, tx.body)
-                except TransactionValidationError:
-                    return i
-                if not _is_int(tx.logical_time) or tx.logical_time <= prev_time:
-                    return i
-                prev_time = tx.logical_time
             layout = block.layout
-            if (
+            vouched = (
                 layout is not None
                 and layout[0] is block.payload_bytes
                 and len(layout[1]) == len(block.transactions)
                 and all(map(operator.is_, layout[1], block.transactions))
-            ):
+            )
+            for tx in block.transactions:
+                if not vouched:
+                    try:
+                        _validate_transaction(tx.kind, tx.actor, tx.logical_time, tx.body)
+                    except TransactionValidationError:
+                        return i
+                if tx.logical_time <= prev_time:
+                    return i
+                prev_time = tx.logical_time
+            if vouched:
                 tx_ids = _sliced_tx_ids(block.payload_bytes, layout[2])
             else:
                 try:
@@ -430,27 +440,26 @@ class Ledger:
 
         On a chain that verifies this is logical-time order, which
         :meth:`verify_chain` requires to increase strictly.  The chain is not
-        verified here, so transactions whose body is not a map are skipped.
+        verified here.
         """
         return [
             tx
             for tx in self.iter_txs()
-            if isinstance(tx.body, dict)
-            and record_id
+            if record_id
             in (tx.body.get("record_id"), tx.body.get("record_ref"), tx.body.get("record_scope"))
         ]
 
 
-def _line_prefix(block_hash, index, payload_hash, prev_hash) -> bytes:
+def _line_prefix(block_hash: str, index: int, payload_hash: str, prev_hash: str) -> bytes:
     """A dump line up to its payload: the canonical block map's header
-    fields, which sort before ``transactions``, then ``"transactions":``."""
-    header = {
-        "block_hash": block_hash,
-        "index": index,
-        "payload_hash": payload_hash,
-        "prev_hash": prev_hash,
-    }
-    return canonicalize(header)[:-1] + b',"transactions":'
+    fields, which sort before ``transactions``, then ``"transactions":``;
+    for an integer index and hashes that need no escaping."""
+    return b'{"block_hash":"%s","index":%d,"payload_hash":"%s","prev_hash":"%s","transactions":' % (
+        block_hash.encode(),
+        index,
+        payload_hash.encode(),
+        prev_hash.encode(),
+    )
 
 
 def dump_ledger(ledger: Ledger) -> str:
@@ -472,47 +481,105 @@ def dump_ledger(ledger: Ledger) -> str:
     return b"".join(lines).decode("utf-8", "surrogateescape")
 
 
-# A dump line is the canonical block map, whose keys sort in this order.
-_HEADER_KEYS = ('{"block_hash":', ',"index":', ',"payload_hash":', ',"prev_hash":')
-_PAYLOAD_KEY = ',"transactions":'
+# The reader: a dump line is the canonical block map, so it is a byte
+# template with typed holes.  Text is canon's string syntax, unrolled: runs
+# that need no escape, joined by the escapes canonical notation writes.
+_RUN = r'[^"\\\x00-\x1f\ud800-\udfff]*'
+_ESCAPE = r'\\(?:["\\nrt]|u00(?:0[0-8bcef]|1[0-9a-f]))'
+_TEXT = f"{_RUN}(?:{_ESCAPE}{_RUN})*"
+
+_LINE_HEAD = re.compile(
+    r'\{"block_hash":"([0-9a-f]{64})","index":(0|-?[1-9][0-9]*),'
+    r'"payload_hash":"([0-9a-f]{64})","prev_hash":"([0-9a-f]{64})","transactions":\['
+)
 
 
-def _expect(text: str, literal: str, pos: int) -> int:
-    if not text.startswith(literal, pos):
-        raise NotationParseError(f"block line: expected {literal!r} at offset {pos}")
-    return pos + len(literal)
+def _text(hole: str) -> str:
+    """The text a string hole holds; escapes go through canon's own reader."""
+    return parse('"' + hole + '"') if "\\" in hole else hole
+
+
+# Each type's hole in a template.  A hole's text is its value, except that
+# integers and bools are cast and text holes may hold escapes.
+_HOLES = {
+    "hash": '"([0-9a-f]{64})"',
+    "text": f'"({_TEXT})"',
+    "name": f'"((?!"){_TEXT})"',
+    "int": "(0|-?[1-9][0-9]*)",
+    "bool": "(true|false)",
+    "purpose": '"(' + "|".join(PURPOSES) + ')"',
+    "outcome": '"(' + "|".join(_OUTCOMES) + ')"',
+}
+_CASTS = {"int": int, "bool": "true".__eq__}
+
+
+def _tx_template(kind: str, schema: dict) -> tuple:
+    """A transaction element of ``kind`` from just after its body's first
+    key (the body's holes, then ``kind``, ``logical_time`` and ``tx_id``),
+    the body's field names, and which holes are cast or are text."""
+    parts = []
+    for name, type_ in schema.items():
+        if parts:
+            parts.append(re.escape(f',"{name}":'))
+        parts.append(_HOLES[type_])
+    parts.append(re.escape(f'}},"kind":"{kind}","logical_time":') + "([1-9][0-9]*)")
+    parts.append(re.escape(',"tx_id":"') + '([0-9a-f]{64})"' + re.escape("}"))
+    return (
+        kind,
+        re.compile("".join(parts)),
+        tuple(schema),
+        tuple((name, _CASTS[type_]) for name, type_ in schema.items() if type_ in _CASTS),
+        tuple(name for name, type_ in schema.items() if type_ in ("text", "name")),
+    )
+
+
+# Each kind's body has its own first key, which picks the kind's template.
+_TX_TEMPLATES = {next(iter(schema)): _tx_template(kind, schema) for kind, schema in _SCHEMA.items()}
+_TX_HEAD = re.compile(r'\{"actor":"(' + _TEXT + r')","body":\{"(' + "|".join(_TX_TEMPLATES) + ')":')
 
 
 def _block_from_line(line: bytes) -> Block:
     """One dump line as a block whose payload bytes are the line's own bytes.
 
-    The line is scanned strictly (:func:`~bxhf.canon.scan`) as the canonical
-    block map: the keys ``block_hash, index, payload_hash, prev_hash,
-    transactions`` and no other, in that order, and each transaction a map
-    of exactly its five fields.  So the payload bytes are canonical by
-    construction, and the scan gives where each transaction's element ends
-    in them, which :meth:`Ledger.verify_chain` uses to derive the tx ids.
+    The line must fit the block header's template, and each transaction in
+    it its kind's template (see :data:`_SCHEMA`), with the checks across
+    fields that a template cannot make.  So the payload bytes are canonical
+    and every transaction passed its schema by construction, and the
+    matches give where each transaction's element ends in them, which
+    :meth:`Ledger.verify_chain` uses to derive the tx ids.
     """
     text = line.decode("utf-8")
-    header = []
-    pos = 0
-    for key in _HEADER_KEYS:
-        value, pos = scan(text, _expect(text, key, pos), 1)
-        header.append(value)
-    start = _expect(text, _PAYLOAD_KEY, pos)  # where the payload's "[" is
-    pos = _expect(text, "[", start)
+    escaped = "\\" in text  # else no text hole holds an escape
+    head = _LINE_HEAD.match(text)
+    if head is None:
+        raise NotationParseError("block line: the header fits no template")
+    pos = head.end()
+    start = pos - 1  # where the payload's "[" is
     txs = []
     ends = []
     if text.startswith("]", pos):
         pos += 1
     else:
         while True:
-            tv, pos = scan(text, pos, 2)
-            if not isinstance(tv, dict) or tv.keys() != _TX_KEYS:
-                raise NotationParseError("block line: a transaction is not its five fields")
-            txs.append(
-                Transaction(tv["tx_id"], tv["kind"], tv["actor"], tv["logical_time"], tv["body"])
-            )
+            tx_head = _TX_HEAD.match(text, pos)
+            if tx_head is None:
+                raise NotationParseError(f"block line: no transaction fits at offset {pos}")
+            actor, first_key = tx_head.groups()
+            kind, template, names, casts, texts = _TX_TEMPLATES[first_key]
+            match = template.match(text, tx_head.end())
+            if match is None:
+                raise NotationParseError(f"block line: no {kind} fits at offset {pos}")
+            holes = match.groups()
+            body = dict(zip(names, holes))
+            for name, cast in casts:
+                body[name] = cast(body[name])
+            if escaped:
+                actor = _text(actor)
+                for name in texts:
+                    body[name] = _text(body[name])
+            _check_relations(kind, body)
+            txs.append(Transaction(holes[-1], kind, actor, int(holes[-2]), body))
+            pos = match.end()
             ends.append(pos - start)
             sep = text[pos : pos + 1]
             pos += 1
@@ -526,9 +593,9 @@ def _block_from_line(line: bytes) -> Block:
         ends = _utf8_offsets(text, start, ends)
         start = len(text[:start].encode("utf-8"))
     payload = bytes(line[start:-1])
-    block_hash, index, payload_hash, prev_hash = header
+    block_hash, index, payload_hash, prev_hash = head.groups()
     return Block(
-        index=index,
+        index=int(index),
         prev_hash=prev_hash,
         payload_hash=payload_hash,
         block_hash=block_hash,

@@ -11,15 +11,20 @@ from bxhf.access import AccessPolicy
 from bxhf.canon import canonicalize, dumps, loads
 from bxhf.crypto import ZERO_HASH, digest, digest_value
 from bxhf.ledger import (
+    PURPOSES,
+    TX_KINDS,
     Ledger,
     LedgerOrderingError,
     LogicalClock,
     Transaction,
     TransactionValidationError,
+    _block_from_line,
     _encode_transactions,
     _is_hash,
+    _is_int,
     _sliced_tx_ids,
     _tx_digest,
+    _validate_transaction,
     build_transaction,
     dump_ledger,
     load_ledger,
@@ -235,7 +240,10 @@ def test_single_emission_encoder_matches_canonical_batch_and_tx_ids():
             body = {_random_text(rng): _random_value(rng) for _ in range(rng.randrange(0, 4))}
             body.update({name: _random_text(rng) for name in fields})
             body[fields[-1]] = digest(rng.randbytes(8))
-            batch.append(build_transaction(kind, _random_text(rng), clock.next(), body))
+            # outside the schema, so built directly: the encoder sees every value
+            actor, logical_time = _random_text(rng), clock.next()
+            tx_id = _tx_digest(kind, actor, logical_time, body)
+            batch.append(Transaction(tx_id, kind, actor, logical_time, body))
         batches.append(batch)
     for batch in batches:
         tx_ids, payload, ends = _encode_transactions(batch)
@@ -245,10 +253,10 @@ def test_single_emission_encoder_matches_canonical_batch_and_tx_ids():
         assert tx_ids == [tx.tx_id for tx in batch]
 
 
-def _forge(chain: Ledger, index: int, edit) -> Ledger:
-    """Apply ``edit`` to the value of one transaction of block ``index``, then
-    recompute its tx id, the payload and every later hash link, as a forger
-    who knows the format would."""
+def _forge(chain: Ledger, index: int, edit) -> str:
+    """The dump of ``chain`` with ``edit`` applied to the value of one
+    transaction of block ``index``, its tx id, the payload and every later
+    hash link recomputed, as a forger who knows the format would."""
     values = [[tx.to_value() for tx in block.transactions] for block in chain.blocks]
     edit(values[index][0])
     blocks = []
@@ -262,7 +270,7 @@ def _forge(chain: Ledger, index: int, edit) -> Ledger:
         block_hash = digest_value(header)
         blocks.append(dumps(dict(header, block_hash=block_hash, transactions=txs)))
         prev_hash = block_hash
-    return load_ledger("\n".join(blocks) + "\n")
+    return "\n".join(blocks) + "\n"
 
 
 def _consent(clock: LogicalClock) -> Transaction:
@@ -293,6 +301,10 @@ def _consent(clock: LogicalClock) -> Transaction:
         lambda tv: tv["body"].update(policy_id=[1]),
         lambda tv: tv["body"].update(record_scope=""),
         lambda tv: tv["body"].update(user_id=7),
+        lambda tv: tv.update(kind="ModelUpdate", body=_model_update_body("x")),
+        lambda tv: tv.update(kind="ModelUpdate", body=_model_update_body([1, 2])),
+        lambda tv: tv.update(actor=7),
+        lambda tv: tv["body"].update(zzz=1),
     ],
     ids=[
         "str-logical-time",
@@ -307,6 +319,10 @@ def _consent(clock: LogicalClock) -> Transaction:
         "list-policy-id",
         "empty-record-scope",
         "int-user-id",
+        "str-round",
+        "list-round",
+        "int-actor",
+        "extra-body-key",
     ],
 )
 def test_mistyped_fields_are_schema_failures_at_their_block(edit):
@@ -314,9 +330,49 @@ def test_mistyped_fields_are_schema_failures_at_their_block(edit):
     clock = LogicalClock()
     chain.append_block([_registration(clock, "r1")])
     chain.append_block([_consent(clock)])
-    forged = _forge(chain, 2, edit)
+    text = _forge(chain, 2, edit)
+    forged = load_ledger(text)
+    assert forged.damaged == 2  # the line fits no template
     assert forged.verify_chain() == 2
-    assert verify_dump(dump_ledger(forged)) == 2
+    assert verify_dump(text) == 2
+
+
+@pytest.mark.parametrize(
+    "index, field, value",
+    [(2, "valid_from", 11), (3, "reason", "no_policy"), (3, "outcome", "deny")],
+    ids=["empty-window", "permit-not-granted", "deny-granted"],
+)
+def test_cross_field_checks_are_made_on_load(index, field, value):
+    chain = Ledger()
+    clock = LogicalClock()
+    chain.append_block([_registration(clock, "r1")])
+    chain.append_block([_consent(clock)])  # valid from 1 until 10
+    chain.append_block([_decision(clock, "r1", "permit")])
+    text = _forge(chain, index, lambda tv: tv["body"].update({field: value}))
+    assert load_ledger(text).damaged == index
+    assert verify_dump(text) == index
+
+
+def _model_update_body(round_index) -> dict:
+    return {"node_id": "n", "round": round_index, "delta_digest": "0" * 64}
+
+
+@pytest.mark.parametrize(
+    "kind, actor, body",
+    [
+        ("ModelUpdate", "n", _model_update_body("x")),
+        ("ModelUpdate", "n", _model_update_body([1, 2])),
+        ("ModelUpdate", 7, _model_update_body(1)),
+        ("ModelUpdate", "n", dict(_model_update_body(1), zzz=1)),
+    ],
+    ids=["str-round", "list-round", "int-actor", "extra-body-key"],
+)
+def test_build_and_append_reject_what_the_reader_rejects(kind, actor, body):
+    with pytest.raises(TransactionValidationError):
+        build_transaction(kind, actor, 1, body)
+    tx = Transaction(_tx_digest(kind, actor, 1, body), kind, actor, 1, body)
+    with pytest.raises(TransactionValidationError):
+        Ledger().append_block([tx])
 
 
 @pytest.mark.parametrize(
@@ -630,17 +686,15 @@ def _rehashed(lines: list[bytes], index: int, edit) -> bytes:
 
 
 def _varied_chain() -> Ledger:
-    """Blocks of several transactions, with non-ASCII text and a nested
-    ``tx_id`` key in their bodies."""
+    """Blocks of several transactions, with non-ASCII text and the text of a
+    ``,"tx_id":"…"}`` member in their bodies."""
     chain = Ledger()
     clock = LogicalClock()
     chain.append_block([_registration(clock, "r0"), _decision(clock, "r0")])
     body = {
-        "record_id": "r1",
-        "institution_id": "hôpital-é",
+        "record_id": "r1-é→中😀",
+        "institution_id": 'hôpital-é,"tx_id":"' + "0" * 64 + '"}',
         "commitment": "cd" * 32,
-        "note": "é→中😀",
-        "nested": {"tx_id": "ef" * 32, "text": ',"tx_id":"' + "0" * 64 + '"}'},
     }
     unusual = build_transaction("DataRegistration", "hôpital-é→中😀", clock.next(), body)
     chain.append_block([unusual, _registration(clock, "r2"), _decision(clock, "r1", "deny")])
@@ -727,3 +781,117 @@ def test_non_ascii_text_and_nested_tx_id_keys_verify_and_flips_name_their_block(
             flipped = bytearray(data)
             flipped[start + offset] ^= 1 << bit
             assert verify_dump(bytes(flipped)) == 2, (offset, bit)
+
+
+def _reference_read(line: bytes) -> tuple[dict, list[Transaction]]:
+    """A dump line read the generic way: ``canon.loads`` of the whole line,
+    the block map's five keys, each transaction a map of exactly its five
+    fields, then the schema.  Raises ValueError for a line outside it."""
+    value = loads(line)
+    if not isinstance(value, dict) or list(value) != [
+        "block_hash", "index", "payload_hash", "prev_hash", "transactions"
+    ]:
+        raise ValueError("not a block map")
+    hashes = [value["block_hash"], value["payload_hash"], value["prev_hash"]]
+    if not (all(map(_is_hash, hashes)) and _is_int(value["index"])):
+        raise ValueError("header field of the wrong type")
+    if not isinstance(value["transactions"], list):
+        raise ValueError("transactions not a list")
+    txs = []
+    for tv in value["transactions"]:
+        if not isinstance(tv, dict) or list(tv) != ["actor", "body", "kind", "logical_time", "tx_id"]:
+            raise ValueError("a transaction is not its five fields")
+        _validate_transaction(tv["kind"], tv["actor"], tv["logical_time"], tv["body"])
+        if not _is_hash(tv["tx_id"]):
+            raise ValueError("tx_id not a hash")
+        txs.append(Transaction(tv["tx_id"], tv["kind"], tv["actor"], tv["logical_time"], tv["body"]))
+    return value, txs
+
+
+def _assert_readers_agree(line: bytes) -> bool:
+    """The template reader accepts ``line`` exactly when the reference does,
+    with equal values and the encoder's end offsets; returns whether it did."""
+    try:
+        value, txs = _reference_read(line)
+    except ValueError:
+        value = None
+    try:
+        block = _block_from_line(line)
+    except ValueError:
+        block = None
+    assert (block is None) == (value is None), line
+    if block is None:
+        return False
+    header = (block.block_hash, block.index, block.payload_hash, block.prev_hash)
+    assert header == (value["block_hash"], value["index"], value["payload_hash"], value["prev_hash"])
+    assert block.transactions == txs
+    # types too: the canonical text tells true from 1
+    assert dumps([tx.to_value() for tx in block.transactions]) == dumps(value["transactions"])
+    assert block.payload_bytes == canonicalize(value["transactions"])
+    assert block.layout[2] == _encode_transactions(block.transactions)[2]
+    return True
+
+
+def _random_schema_tx(rng: random.Random, logical_time: int) -> Transaction:
+    text = lambda: _random_text(rng)  # noqa: E731
+    hash_ = lambda: digest(rng.randbytes(8))  # noqa: E731
+    integer = lambda: rng.choice([0, 1, -1, rng.randrange(-(10**12), 10**12)])  # noqa: E731
+    kind = rng.choice(TX_KINDS)
+    if kind == "DataRegistration":
+        body = {"record_id": text(), "institution_id": text(), "commitment": hash_()}
+    elif kind == "ConsentUpdate":
+        valid_from, valid_until = sorted((integer(), integer()))
+        body = {
+            "policy_id": text() or "p",
+            "user_id": text() or "u",
+            "record_scope": text() or "r",
+            "purpose": rng.choice(PURPOSES),
+            "valid_from": valid_from,
+            "valid_until": valid_until,
+            "granted": rng.random() < 0.5,
+        }
+    elif kind == "AccessDecision":
+        outcome = rng.choice(["permit", "deny"])
+        body = {
+            "user_id": text(),
+            "record_id": text(),
+            "purpose": rng.choice(PURPOSES),
+            "outcome": outcome,
+            "reason": "granted" if outcome == "permit" else text(),  # never "granted"
+        }
+    elif kind == "ModelUpdate":
+        body = {"node_id": text(), "round": integer(), "delta_digest": hash_()}
+    else:
+        body = {
+            "record_ref": text(),
+            "input_commitment": hash_(),
+            "model_hash": hash_(),
+            "prediction_hash": hash_(),
+            "explanation_hash": hash_(),
+        }
+    return build_transaction(kind, text(), logical_time, body)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_template_reader_matches_the_generic_reader_on_chains_and_their_flips(seed):
+    rng = random.Random(seed)
+    chain = Ledger()
+    clock = LogicalClock()
+    for _ in range(12):
+        chain.append_block([_random_schema_tx(rng, clock.next()) for _ in range(rng.randrange(1, 3))])
+    lines = dump_ledger(chain).encode().split(b"\n")[:-1]
+    assert all(_assert_readers_agree(line) for line in lines)
+    line = rng.choice(lines[1:])
+    for outside in (
+        line.replace(b'"body":{', b'"body":{"a":1,', 1),  # an extra key
+        line.replace(b'"actor":"', b'"actor":"\\ud800', 1),  # a lone surrogate
+        line.replace(b'"actor":"', b'"actor":"\\u000a', 1),  # the long form of "\n"
+    ):
+        assert not _assert_readers_agree(outside)
+    accepted = 0
+    for offset in range(len(line)):
+        for bit in range(8):
+            flipped = bytearray(line)
+            flipped[offset] ^= 1 << bit
+            accepted += _assert_readers_agree(bytes(flipped))
+    assert accepted  # some flips stay inside the schema: both readers accept them

@@ -220,25 +220,19 @@ def _lone_surrogate_purpose(line, block, tx):
 
 
 @pytest.mark.parametrize(
-    "edit, rc",
-    [(_body_seven, 0), (_string_logical_time, 0), (_lone_surrogate_purpose, 1)],
+    "edit",
+    [_body_seven, _string_logical_time, _lone_surrogate_purpose],
     ids=["body-not-a-map", "string-logical-time", "lone-surrogate"],
 )
-def test_audit_of_a_forged_ledger_exits_without_a_traceback(ledger, edit, rc, tmp_path, capsys):
+def test_audit_of_a_forged_ledger_exits_without_a_traceback(ledger, edit, tmp_path, capsys):
     data, record = _forge_last_block(ledger, edit)
     path = tmp_path / LEDGER_FILE
     path.write_bytes(data)
     capsys.readouterr()
-    assert main(["audit", "--ledger", str(path), "--record", record]) == rc
+    assert main(["audit", "--ledger", str(path), "--record", record]) == 1
     captured = capsys.readouterr()
-    if rc == 1:  # an escape canonical notation never writes: the line does not parse
-        assert captured.out == "" and captured.err.startswith("ledger does not parse: block 14")
-        return
-    printed = [loads(line) for line in captured.out.splitlines()]
-    assert printed and all(record in str(tx["body"]) for tx in printed)
-    times = [tx["logical_time"] for tx in printed]
-    if edit is _string_logical_time:
-        assert times[-1] == "x" and times[:-1] == sorted(times[:-1])  # chain order
+    # a line outside the schema, or with an escape canonical notation never writes, does not parse
+    assert captured.out == "" and captured.err.startswith("ledger does not parse: block 14")
 
 
 def _body_is_seven(tx):
