@@ -9,7 +9,7 @@ verification for block payloads, commitment verification for stored records.
 
 import numpy as np
 
-from bxhf import crypto
+from bxhf import canon, crypto
 from bxhf.ledger import Ledger, LogicalClock, build_transaction, dump_ledger
 from bxhf.trust import verify_record
 from bxhf.harness import SealedRecord
@@ -23,9 +23,10 @@ keys.register("k-mercy", rng.bytes(crypto.KEY_LEN))
 # --- seal two records and commit to their content ---
 records = {}
 for rid, hr in (("mercy-r001", 64.0), ("mercy-r002", 97.0)):
-    value = {"record_id": rid, "features": {"heart_rate": hr}, "outcome": 0.0}
-    commitment = crypto.commit(value, rng.bytes(crypto.SALT_LEN))
-    sealed = crypto.seal(value, "k-mercy", keys, rng.bytes(crypto.NONCE_LEN))
+    # one canonical encoding, committed to and sealed
+    encoded = canon.canonicalize({"record_id": rid, "features": {"heart_rate": hr}, "outcome": 0.0})
+    commitment = crypto.commit(encoded, rng.bytes(crypto.SALT_LEN))
+    sealed = crypto.seal(encoded, "k-mercy", keys, rng.bytes(crypto.NONCE_LEN))
     records[rid] = SealedRecord(rid, "mercy", sealed, commitment)
     print(f"sealed {rid}: ciphertext {len(sealed.ciphertext)} bytes,"
           f" commitment {commitment.digest[:16]}…")

@@ -11,7 +11,7 @@ by construction.
 
 import numpy as np
 
-from bxhf import crypto
+from bxhf import canon, crypto
 from bxhf.access import AccessPolicy, ConsentRegistry, gated_fetch, update_consent
 from bxhf.harness import SealedRecord
 from bxhf.ledger import Ledger, LogicalClock
@@ -23,12 +23,13 @@ keys = crypto.KeyTable()
 keys.register("k-stjude", rng.bytes(crypto.KEY_LEN))
 table = {}
 for rid in ("stjude-r001", "stjude-r002"):
-    value = {"record_id": rid, "features": {"glucose": float(rng.uniform(70, 180))},
-             "outcome": 0.0}
+    encoded = canon.canonicalize(
+        {"record_id": rid, "features": {"glucose": float(rng.uniform(70, 180))}, "outcome": 0.0}
+    )
     table[rid] = SealedRecord(
         rid, "stjude",
-        crypto.seal(value, "k-stjude", keys, rng.bytes(crypto.NONCE_LEN)),
-        crypto.commit(value, rng.bytes(crypto.SALT_LEN)),
+        crypto.seal(encoded, "k-stjude", keys, rng.bytes(crypto.NONCE_LEN)),
+        crypto.commit(encoded, rng.bytes(crypto.SALT_LEN)),
     )
 
 ledger = Ledger()
@@ -60,7 +61,7 @@ print("\nfetch attempts:")
 glucose = attempt("dr-kim", "stjude-r001", "treatment")
 attempt("dr-kim", "stjude-r001", "research")      # wrong purpose
 attempt("dr-patel", "stjude-r002", "treatment")   # no policy at all
-print(f"\ndr-kim read glucose = {glucose['features']['glucose']:.1f}")
+print(f"\ndr-kim read glucose = {canon.loads(glucose)['features']['glucose']:.1f}")
 
 # --- the patient changes their mind: a later version revokes the grant ---
 update_consent(

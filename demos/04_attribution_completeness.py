@@ -11,8 +11,8 @@ internals — must land on the same numbers.
 
 import numpy as np
 
-from bxhf.explain import explain_linear, plausibility_penalty, shapley_bruteforce
-from bxhf.learning import FeatureSpec, LinearModel, predict, predict_margins
+from bxhf.explain import explain_linear, shapley_bruteforce
+from bxhf.learning import FeatureSpec, LinearModel, mean_sign_violation, predict, predict_margins
 
 spec = FeatureSpec(
     names=["troponin", "creatinine", "age_z", "bmi_z"],
@@ -45,12 +45,12 @@ print("\nsubset enumeration agrees per coordinate:")
 for name, a, b in zip(spec.names, exp.attribution_vector(spec), brute):
     print(f"  {name:<12} closed {a:+.9f}   brute {b:+.9f}   diff {abs(a-b):.1e}")
 
-# --- the same numbers feed the plausibility check ---
-print(f"\nplausibility penalty for this patient: {plausibility_penalty(exp, spec):.6f}")
-bad = explain_linear(
-    LinearModel(np.array([-1.8, 0.9, 0.35, -0.15]), -0.6, "logistic"), spec, patient
-)
-print(f"with troponin's sign flipped it becomes: {plausibility_penalty(bad, spec):.6f}")
+# --- the same attributions feed the training penalty: the hinge on those
+# whose sign contradicts the declared direction, here over one row ---
+row = patient[None, :]
+print(f"\nplausibility penalty for this patient: {mean_sign_violation(model, row, spec):.6f}")
+flipped = LinearModel(np.array([-1.8, 0.9, 0.35, -0.15]), -0.6, "logistic")
+print(f"with troponin's sign flipped it becomes: {mean_sign_violation(flipped, row, spec):.6f}")
 
 # --- explanations are content-addressed for on-chain binding ---
 print(f"\nexplanation digest: {exp.digest()[:32]}…")

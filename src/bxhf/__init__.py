@@ -34,21 +34,15 @@ from .crypto import (
     UnknownKeyError,
     ZERO_HASH,
     commit,
-    commit_bytes,
     digest,
     digest_value,
     seal,
-    seal_bytes,
     unseal,
-    unseal_bytes,
-    verify_commit,
 )
 from .explain import (
     Explanation,
     SubsetCapacityError,
-    check_completeness,
     explain_linear,
-    plausibility_penalty,
     shapley_bruteforce,
 )
 from .harness import (
@@ -77,10 +71,8 @@ from .learning import (
     log_model_update,
     loss,
     mean_sign_violation,
-    objective_value,
     predict,
     train_constrained,
-    train_erm,
 )
 from .ledger import (
     Block,

@@ -12,7 +12,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import crypto
-from .ledger import PURPOSES, Ledger, LogicalClock, Transaction, build_transaction
+from .ledger import (
+    PURPOSES,
+    Ledger,
+    LogicalClock,
+    Transaction,
+    _validate_body,
+    build_transaction,
+)
 
 __all__ = [
     "AccessPolicy",
@@ -58,20 +65,8 @@ class AccessPolicy:
     granted: bool
 
     def __post_init__(self):
-        if not all(
-            isinstance(text, str) and text
-            for text in (self.policy_id, self.user_id, self.record_scope)
-        ):
-            raise ValueError("policy_id, user_id and record_scope must be non-empty text")
-        if self.valid_from > self.valid_until:
-            raise ValueError(
-                f"policy {self.policy_id!r}: valid_from {self.valid_from} "
-                f"> valid_until {self.valid_until}"
-            )
-        if self.purpose not in PURPOSES:
-            raise ValueError(f"policy {self.policy_id!r}: unknown purpose {self.purpose!r}")
-        if not isinstance(self.granted, bool):
-            raise ValueError(f"policy {self.policy_id!r}: granted must be true or false")
+        # the ledger's ConsentUpdate schema, so every policy can go on chain
+        _validate_body("ConsentUpdate", self.to_value())
 
     def to_value(self) -> dict:
         return {
@@ -194,13 +189,14 @@ def gated_fetch(
 ):
     """Fetch a registered record through the consent gate.
 
-    ``record_table`` maps record ids to sealed records; each record's
-    ``institution_id`` is the owner institution-wide scopes match against.
-    Returns ``(plaintext_or_None, decision_tx)``.  Every call produces
-    exactly one access decision transaction; a permit additionally unseals
-    and returns the record.  An authorized fetch whose stored bytes fail
-    authentication raises :class:`IntegrityAlarmError` after the decision
-    is recorded.
+    ``record_table`` maps record ids to sealed records
+    (``harness.SealedRecord``); each record's ``institution_id`` is the
+    owner institution-wide scopes match against.  Returns
+    ``(plaintext_bytes_or_None, decision_tx)``.  Every call produces exactly
+    one access decision transaction; a permit additionally opens the record
+    (``record.open(keys)``) and returns its sealed bytes.  An authorized
+    fetch whose stored bytes fail authentication raises
+    :class:`IntegrityAlarmError` after the decision is recorded.
     """
     sealed_record = record_table.get(record_id)
     if sealed_record is None:
@@ -227,10 +223,9 @@ def gated_fetch(
         batch.append(tx)
     if not allowed:
         return None, tx
-    try:
-        plaintext = crypto.unseal(sealed_record.sealed, keys)
-    except crypto.AuthenticationError as exc:
+    plaintext = sealed_record.open(keys)
+    if plaintext is None:
         raise IntegrityAlarmError(
             f"record {record_id!r} failed authentication on an authorized fetch"
-        ) from exc
+        )
     return plaintext, tx

@@ -1,10 +1,12 @@
 """Hashing, salted commitments, and authenticated record sealing.
 
 Records at rest are kept as AES-GCM sealed payloads bound to a salted
-SHA-256 commitment over the plaintext's canonical encoding.  Sealing here is
-an integrity/access mechanism for the simulation, not a privacy-preserving
-computation scheme: unsealing requires the owning institution's key, and any
-single-bit modification of a sealed payload fails authentication.
+SHA-256 commitment over the same bytes: the caller encodes a record once and
+passes that encoding to :func:`commit` and :func:`seal`, and :func:`unseal`
+returns it.  Sealing here is an integrity/access mechanism for the
+simulation, not a privacy-preserving computation scheme: unsealing requires
+the owning institution's key, and any single-bit modification of a sealed
+payload fails authentication.
 
 All randomness (salts, nonces, keys) is supplied by the caller so that a
 scenario's seeded generator fully determines every byte on disk.
@@ -18,7 +20,7 @@ import hashlib
 from cryptography.exceptions import InvalidTag
 from cryptography.hazmat.primitives.ciphers.aead import AESGCM
 
-from .canon import canonicalize, loads
+from .canon import canonicalize
 
 __all__ = [
     "AuthenticationError",
@@ -28,13 +30,9 @@ __all__ = [
     "UnknownKeyError",
     "ZERO_HASH",
     "commit",
-    "commit_bytes",
     "digest",
     "seal",
-    "seal_bytes",
     "unseal",
-    "unseal_bytes",
-    "verify_commit",
 ]
 
 ZERO_HASH = "0" * 64
@@ -82,26 +80,16 @@ class Commitment:
         return digest(encoded + self.salt) == self.digest
 
 
-def commit_bytes(encoded: bytes, salt: bytes) -> Commitment:
+def commit(encoded: bytes, salt: bytes) -> Commitment:
     """Commit to exact bytes: ``digest = H(encoded || salt)``.
 
-    A caller that seals the same canonical encoding passes it here and to
-    :func:`seal_bytes`, so the commitment and the seal cover one emission,
-    and :meth:`Commitment.matches` over the unsealed bytes reproduces it.
+    A caller that seals the same encoding passes it here and to
+    :func:`seal`, so the commitment and the seal cover one emission, and
+    :meth:`Commitment.matches` over the unsealed bytes reproduces it.
     """
     if len(salt) != SALT_LEN:
         raise ValueError(f"salt must be {SALT_LEN} bytes, got {len(salt)}")
     return Commitment(digest=digest(encoded + salt), salt=bytes(salt))
-
-
-def commit(plaintext, salt: bytes) -> Commitment:
-    """Commit to a structured value: ``digest = H(canonical(plaintext) || salt)``."""
-    return commit_bytes(canonicalize(plaintext), salt)
-
-
-def verify_commit(plaintext, commitment: Commitment) -> bool:
-    """True iff the plaintext reproduces the commitment digest under its salt."""
-    return commitment.matches(canonicalize(plaintext))
 
 
 @dataclass(frozen=True)
@@ -153,9 +141,8 @@ class KeyTable:
         return table
 
 
-def seal_bytes(encoded: bytes, key_id: str, keys: KeyTable, nonce: bytes) -> SealedPayload:
-    """Seal exact bytes under a registered key; :func:`unseal_bytes` returns
-    them.
+def seal(encoded: bytes, key_id: str, keys: KeyTable, nonce: bytes) -> SealedPayload:
+    """Seal exact bytes under a registered key; :func:`unseal` returns them.
 
     The nonce is caller-supplied (drawn from the scenario generator) so
     sealing is deterministic for a fixed seed.
@@ -168,12 +155,7 @@ def seal_bytes(encoded: bytes, key_id: str, keys: KeyTable, nonce: bytes) -> Sea
     return SealedPayload(ciphertext=bytes(nonce) + body, auth_tag=tag, key_id=key_id)
 
 
-def seal(plaintext, key_id: str, keys: KeyTable, nonce: bytes) -> SealedPayload:
-    """Seal the canonical encoding of a structured value; see :func:`seal_bytes`."""
-    return seal_bytes(canonicalize(plaintext), key_id, keys, nonce)
-
-
-def unseal_bytes(payload: SealedPayload, keys: KeyTable) -> bytes:
+def unseal(payload: SealedPayload, keys: KeyTable) -> bytes:
     """Authenticate and decrypt a sealed payload, returning the sealed bytes.
 
     Raises :class:`UnknownKeyError` if the payload's key id is unregistered,
@@ -186,9 +168,3 @@ def unseal_bytes(payload: SealedPayload, keys: KeyTable) -> bytes:
         return AESGCM(key).decrypt(nonce, body + payload.auth_tag, None)
     except InvalidTag:
         raise AuthenticationError(f"sealed payload for key {payload.key_id!r} failed authentication") from None
-
-
-def unseal(payload: SealedPayload, keys: KeyTable):
-    """Recover the structured value from a sealed payload; raises as
-    :func:`unseal_bytes` does."""
-    return loads(unseal_bytes(payload, keys))

@@ -26,16 +26,11 @@ from . import crypto
 from .learning import FeatureSpec, LinearModel
 
 __all__ = [
-    "COMPLETENESS_TOL",
     "Explanation",
     "SubsetCapacityError",
-    "check_completeness",
     "explain_linear",
-    "plausibility_penalty",
     "shapley_bruteforce",
 ]
-
-COMPLETENESS_TOL = 1e-9
 
 # Subset enumeration is 2^m; anything past this is a config mistake.
 MAX_BRUTEFORCE_FEATURES = 12
@@ -145,17 +140,3 @@ def shapley_bruteforce(margin_fn, spec: FeatureSpec, x) -> np.ndarray:
             total += weights[popcount[mask]] * (values[mask | bit] - values[mask])
         attr[j] = total
     return attr
-
-
-def plausibility_penalty(explanation: Explanation, spec: FeatureSpec) -> float:
-    """Hinge penalty over attributions whose sign contradicts the declared
-    direction of effect; unconstrained features contribute nothing."""
-    attr = explanation.attribution_vector(spec)
-    return float(np.sum(np.maximum(0.0, -spec.sign_constraints * attr)))
-
-
-def check_completeness(explanation: Explanation, model: LinearModel, x) -> bool:
-    """True iff baseline value plus attributions reproduces the margin."""
-    x = np.asarray(x, dtype=float)
-    margin = float(x @ model.weights + model.bias)
-    return abs(explanation.total() - margin) <= COMPLETENESS_TOL

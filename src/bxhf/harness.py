@@ -109,7 +109,7 @@ class SealedRecord:
         opened = self._opened
         if opened is None or opened[0] is not self.sealed or opened[1] != key:
             try:
-                plain = crypto.unseal_bytes(self.sealed, keys)
+                plain = crypto.unseal(self.sealed, keys)
             except crypto.AuthenticationError:
                 plain = None
             opened = self._opened = (self.sealed, key, plain)
@@ -233,9 +233,9 @@ def build_scenario(config: ScenarioConfig | dict) -> WorldState:
             # one encoding, committed to and sealed
             encoded = canon.canonicalize(rec.payload())
             salt = rng.bytes(crypto.SALT_LEN)
-            commitment = crypto.commit_bytes(encoded, salt)
+            commitment = crypto.commit(encoded, salt)
             nonce = rng.bytes(crypto.NONCE_LEN)
-            sealed = crypto.seal_bytes(encoded, _key_id(inst), keys, nonce)
+            sealed = crypto.seal(encoded, _key_id(inst), keys, nonce)
             records[rec.record_id] = SealedRecord(
                 record_id=rec.record_id,
                 institution_id=inst,
@@ -295,8 +295,18 @@ def _train_config(config: ScenarioConfig) -> TrainConfig:
     )
 
 
+def _record_row(plain: bytes, spec: FeatureSpec) -> tuple[list[float], object]:
+    """A record's feature row, in the panel's order, and its outcome, from
+    its opened plaintext bytes.  Bytes that are not a canonical record of
+    the panel's features raise ``KeyError``, ``TypeError`` or
+    ``ValueError``."""
+    value = canon.loads(plain)
+    features = value["features"]
+    return [float(features[n]) for n in spec.names], value["outcome"]
+
+
 def _derive_decision(
-    model: LinearModel, spec: FeatureSpec, x: np.ndarray, record_ref: str, input_commitment: str
+    model: LinearModel, spec: FeatureSpec, x: list[float], record_ref: str, input_commitment: str
 ) -> tuple[dict, Explanation]:
     """The prediction value and the explanation a decision on the feature
     row ``x`` binds: run to make a decision, and again to replay one."""
@@ -343,7 +353,7 @@ def run_workflow(world: WorldState) -> dict:
     for request in cfg.requests:
         batch = []
         try:
-            plaintext, _ = gated_fetch(
+            plain, _ = gated_fetch(
                 world.ledger,
                 world.keys,
                 world.registry,
@@ -359,13 +369,13 @@ def run_workflow(world: WorldState) -> dict:
             # reach the chain so the audit trail shows what was attempted
             world.ledger.append_block(batch)
             raise
-        if plaintext is None:
+        if plain is None:
             world.ledger.append_block(batch)
             denied += 1
             continue
         rid = request["record_id"]
         input_commitment = table[rid].commitment.digest
-        x = np.asarray([plaintext["features"][n] for n in spec.names], dtype=float)
+        x, _ = _record_row(plain, spec)
         prediction_value, explanation = _derive_decision(model, spec, x, rid, input_commitment)
         decision_tx = build_transaction(
             "DecisionRecord",
@@ -468,8 +478,7 @@ def _check_decision(world: WorldState, tx: Transaction) -> str:
         return "input"
     spec = world.config.feature_spec
     try:
-        features = canon.loads(plain)["features"]
-        x = np.asarray([features[n] for n in spec.names], dtype=float)
+        x, _ = _record_row(plain, spec)
     except (KeyError, TypeError, ValueError):  # ValueError covers parse errors
         return "input"
 
@@ -621,11 +630,10 @@ def _open_datasets(
             if plain is None:
                 unreadable.append(rid)
                 continue
-            plaintext = canon.loads(plain)
-            x = [plaintext["features"][n] for n in spec.names]
+            x, y = _record_row(plain, spec)
             xs, ys = rows.setdefault(record.institution_id, ([], []))
             xs.append(x)
-            ys.append(plaintext["outcome"])
+            ys.append(y)
         # the reshape keeps the feature width when no row is readable
         datasets = {
             inst: Dataset(np.reshape(xs, (-1, spec.dim)), ys, inst)

@@ -39,11 +39,9 @@ __all__ = [
     "loss",
     "mean_sign_violation",
     "objective_gradient",
-    "objective_value",
     "predict",
     "predict_margins",
     "train_constrained",
-    "train_erm",
 ]
 
 PROB_EPS = 1e-12
@@ -253,15 +251,6 @@ def _violation_subgradient(model: LinearModel, X: np.ndarray, spec: FeatureSpec)
     return np.mean(np.where(violating, -spec.sign_constraints * d, 0.0), axis=0)
 
 
-def objective_value(
-    model: LinearModel, dataset: Dataset, spec: FeatureSpec, penalty_weight: float
-) -> float:
-    value = loss(model, dataset)
-    if penalty_weight:
-        value += penalty_weight * mean_sign_violation(model, dataset.X, spec)
-    return value
-
-
 def objective_gradient(
     model: LinearModel, dataset: Dataset, spec: FeatureSpec, penalty_weight: float
 ) -> tuple[np.ndarray, float]:
@@ -272,60 +261,27 @@ def objective_gradient(
     return grad_w, grad_b
 
 
-def _descend(
-    model: LinearModel,
-    dataset: Dataset,
-    spec: FeatureSpec,
-    config: TrainConfig,
-    penalty_weight: float,
-    loss_trace: list[float] | None = None,
-) -> LinearModel:
-    dataset.validate_labels(model.link)
-    w = model.weights.copy()
-    b = model.bias
-    current = LinearModel(w, b, model.link)
-    for _ in range(config.epochs):
-        if loss_trace is not None:
-            loss_trace.append(objective_value(current, dataset, spec, penalty_weight))
-        grad_w, grad_b = objective_gradient(current, dataset, spec, penalty_weight)
-        w = current.weights - config.learning_rate * grad_w
-        b = current.bias - config.learning_rate * grad_b
-        if not (np.all(np.isfinite(w)) and np.isfinite(b)):
-            raise DivergenceError("non-finite parameter during training")
-        current = LinearModel(w, b, model.link)
-    if loss_trace is not None:
-        loss_trace.append(objective_value(current, dataset, spec, penalty_weight))
-    return current
-
-
-def _initial_model(spec: FeatureSpec, link: str) -> LinearModel:
-    return LinearModel(np.zeros(spec.dim), 0.0, link)
-
-
-def train_erm(
-    dataset: Dataset,
-    spec: FeatureSpec,
-    config: TrainConfig,
-    link: str = "logistic",
-    init: LinearModel | None = None,
-    loss_trace: list[float] | None = None,
-) -> LinearModel:
-    """Plain empirical risk minimization; the penalty weight is ignored."""
-    start = init.copy() if init is not None else _initial_model(spec, link)
-    return _descend(start, dataset, spec, config, 0.0, loss_trace)
-
-
 def train_constrained(
     dataset: Dataset,
     spec: FeatureSpec,
     config: TrainConfig,
     link: str = "logistic",
     init: LinearModel | None = None,
-    loss_trace: list[float] | None = None,
 ) -> LinearModel:
-    """Minimize mean loss plus the weighted sign-violation hinge."""
-    start = init.copy() if init is not None else _initial_model(spec, link)
-    return _descend(start, dataset, spec, config, config.penalty_weight, loss_trace)
+    """Minimize mean loss plus the weighted sign-violation hinge from ``init``
+    (zero parameters by default).  With ``config.penalty_weight`` 0, its
+    default, this is plain empirical risk minimization."""
+    start = init if init is not None else LinearModel(np.zeros(spec.dim), 0.0, link)
+    dataset.validate_labels(start.link)
+    current = start.copy()
+    for _ in range(config.epochs):
+        grad_w, grad_b = objective_gradient(current, dataset, spec, config.penalty_weight)
+        w = current.weights - config.learning_rate * grad_w
+        b = current.bias - config.learning_rate * grad_b
+        if not (np.all(np.isfinite(w)) and np.isfinite(b)):
+            raise DivergenceError("non-finite parameter during training")
+        current = LinearModel(w, b, start.link)
+    return current
 
 
 @dataclass

@@ -39,7 +39,11 @@ def _fail(path: str, message: str):
     raise ConfigError(f"{path}: {message}")
 
 
-def _as_float(value: int, path: str) -> float:
+def _number(value, path: str) -> float:
+    """``value`` as a float: it must be an int or a float, not a bool, and
+    within the float range."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        _fail(path, "expected a number")
     try:
         return float(value)
     except OverflowError:  # an integer beyond the float range
@@ -52,8 +56,8 @@ def _require(mapping, key: str, kind, path: str):
     if key not in mapping:
         _fail(f"{path}.{key}", "missing")
     value = mapping[key]
-    if kind is float and isinstance(value, int) and not isinstance(value, bool):
-        value = _as_float(value, f"{path}.{key}")
+    if kind is float:
+        return _number(value, f"{path}.{key}")
     if kind is not None and not isinstance(value, kind):
         _fail(f"{path}.{key}", f"expected {kind.__name__}")
     if kind is int and isinstance(value, bool):
@@ -111,15 +115,15 @@ def _validate_features(value, path: str) -> FeatureSpec:
         _fail(path, "names, baseline and sign_constraints must have equal length")
     if not all(s in (-1, 0, 1) for s in signs):
         _fail(f"{path}.sign_constraints", "entries must be -1, 0 or +1")
-    try:
-        mu = [float(b) for b in baseline]
-    except (TypeError, ValueError):
-        _fail(f"{path}.baseline", "expected numbers")
+    mu = [_number(b, f"{path}.baseline[{j}]") for j, b in enumerate(baseline)]
     return FeatureSpec(tuple(names), tuple(mu), tuple(int(s) for s in signs))
 
 
-def _record_ids_for(config: dict, institution_ids: list[str], m: int) -> list[str]:
-    """Resolve the full record-id set before any data exists."""
+def _validate_records(
+    config: dict, institution_ids: list[str], spec: FeatureSpec, link: str
+) -> list[str]:
+    """Check the records section, so :func:`generate_records` only converts,
+    and resolve the full record-id set before any data exists."""
     records = _require(config, "records", dict, "scenario")
     mode = _require(records, "mode", str, "records")
     owners: dict[str, str] = {}
@@ -128,9 +132,13 @@ def _record_ids_for(config: dict, institution_ids: list[str], m: int) -> list[st
         if per < 1:
             _fail("records.per_institution", "must be >= 1")
         weights = _require(records, "planted_weights", list, "records")
-        if len(weights) != m:
-            _fail("records.planted_weights", f"expected {m} entries")
+        if len(weights) != spec.dim:
+            _fail("records.planted_weights", f"expected {spec.dim} entries")
+        for j, weight in enumerate(weights):
+            _number(weight, f"records.planted_weights[{j}]")
         _require(records, "planted_bias", float, "records")
+        if "noise" in records:
+            _require(records, "noise", float, "records")
         for inst in institution_ids:
             for k in range(per):
                 owners[f"{inst}-r{k:03d}"] = inst
@@ -139,14 +147,21 @@ def _record_ids_for(config: dict, institution_ids: list[str], m: int) -> list[st
         if not rows:
             _fail("records.rows", "must be non-empty")
         for i, row in enumerate(rows):
-            rid = _require(row, "record_id", str, f"records.rows[{i}]")
-            inst = _require(row, "institution_id", str, f"records.rows[{i}]")
+            path = f"records.rows[{i}]"
+            rid = _require(row, "record_id", str, path)
+            inst = _require(row, "institution_id", str, path)
             if inst not in institution_ids:
-                _fail(f"records.rows[{i}].institution_id", f"unknown institution {inst!r}")
+                _fail(f"{path}.institution_id", f"unknown institution {inst!r}")
             if rid in owners:
-                _fail(f"records.rows[{i}].record_id", f"duplicate record {rid!r}")
-            _require(row, "features", dict, f"records.rows[{i}]")
-            _require(row, "outcome", float, f"records.rows[{i}]")
+                _fail(f"{path}.record_id", f"duplicate record {rid!r}")
+            features = _require(row, "features", dict, path)
+            if features.keys() != set(spec.names):
+                _fail(f"{path}.features", "expected exactly the panel's features")
+            for name in spec.names:
+                _number(features[name], f"{path}.features.{name}")
+            outcome = _require(row, "outcome", float, path)
+            if link == "logistic" and outcome not in (0.0, 1.0):
+                _fail(f"{path}.outcome", "expected 0 or 1 under the logistic link")
             owners[rid] = inst
     else:
         _fail("records.mode", "expected 'generated' or 'inline'")
@@ -170,8 +185,21 @@ def validate_config(value) -> ScenarioConfig:
     users = _require(value, "users", list, "scenario")
     user_ids = _id_list(users, "users")
     spec = _validate_features(_require(value, "features", dict, "scenario"), "features")
-    record_ids = _record_ids_for(value, institution_ids, len(spec.names))
+
+    train = _require(value, "train", dict, "scenario")
+    link = _require(train, "link", str, "train")
+    if link not in LINKS:
+        _fail("train.link", f"expected one of {sorted(LINKS)}")
+    if _require(train, "learning_rate", float, "train") <= 0:
+        _fail("train.learning_rate", "must be positive")
+    if _require(train, "local_steps", int, "train") < 1:
+        _fail("train.local_steps", "must be >= 1")
+    if _require(train, "penalty_weight", float, "train") < 0:
+        _fail("train.penalty_weight", "must be non-negative")
+
+    record_ids = _validate_records(value, institution_ids, spec, link)
     known_records = set(record_ids)
+    known_users = set(user_ids)
 
     policies: list[AccessPolicy] = []
     for i, entry in enumerate(value.get("policies", [])):
@@ -180,7 +208,7 @@ def validate_config(value) -> ScenarioConfig:
             policy = AccessPolicy.from_value(entry)
         except (KeyError, TypeError, ValueError) as exc:
             _fail(path, str(exc))
-        if policy.user_id not in user_ids:
+        if policy.user_id not in known_users:
             _fail(f"{path}.user_id", f"unknown user {policy.user_id!r}")
         scope = policy.record_scope
         if scope.endswith("/*"):
@@ -196,23 +224,12 @@ def validate_config(value) -> ScenarioConfig:
         user = _require(req, "user_id", str, path)
         rid = _require(req, "record_id", str, path)
         purpose = _require(req, "purpose", str, path)
-        if user not in user_ids:
+        if user not in known_users:
             _fail(f"{path}.user_id", f"unknown user {user!r}")
         if rid not in known_records:
             _fail(f"{path}.record_id", f"unknown record {rid!r}")
         if purpose not in PURPOSES:
             _fail(f"{path}.purpose", f"unknown purpose {purpose!r}")
-
-    train = _require(value, "train", dict, "scenario")
-    link = _require(train, "link", str, "train")
-    if link not in LINKS:
-        _fail("train.link", f"expected one of {sorted(LINKS)}")
-    if _require(train, "learning_rate", float, "train") <= 0:
-        _fail("train.learning_rate", "must be positive")
-    if _require(train, "local_steps", int, "train") < 1:
-        _fail("train.local_steps", "must be >= 1")
-    if _require(train, "penalty_weight", float, "train") < 0:
-        _fail("train.penalty_weight", "must be non-negative")
 
     federation = _require(value, "federation", dict, "scenario")
     if _require(federation, "rounds", int, "federation") < 0:
@@ -222,11 +239,9 @@ def validate_config(value) -> ScenarioConfig:
     if _require(trust, "security_weight", float, "trust") < 0:
         _fail("trust.security_weight", "must be non-negative")
     component = _require(trust, "component_weights", list, "trust")
-    if len(component) != 3 or not all(
-        isinstance(w, (int, float)) and not isinstance(w, bool) for w in component
-    ):
+    if len(component) != 3:
         _fail("trust.component_weights", "expected three numbers")
-    w_i, w_p, w_a = (_as_float(w, "trust.component_weights") for w in component)
+    w_i, w_p, w_a = (_number(w, f"trust.component_weights[{k}]") for k, w in enumerate(component))
     # the rule trust.security_score applies to them
     if min(w_i, w_p, w_a) < 0 or abs(w_i + w_p + w_a - 1.0) > 1e-9:
         _fail("trust.component_weights", "must be non-negative and sum to 1")
@@ -296,17 +311,14 @@ def _planted_margin(x: np.ndarray, weights: np.ndarray, bias: float, mu: np.ndar
 
 def generate_records(config: ScenarioConfig, rng: np.random.Generator) -> list[GeneratedRecord]:
     """Materialise the scenario's records, drawing from `rng` in a fixed order
-    (per institution, per record: features, then the outcome draw)."""
+    (per institution, per record: features, then the outcome draw).  The
+    values were checked by :func:`validate_config`; this only converts."""
     spec = config.feature_spec
     records_cfg = config.raw["records"]
     link = config.train["link"]
     out: list[GeneratedRecord] = []
     if records_cfg["mode"] == "inline":
         for row in records_cfg["rows"]:
-            if set(row["features"]) != set(spec.names):
-                raise ConfigError(
-                    f"records.rows: record {row['record_id']!r} features do not match the panel"
-                )
             features = {name: float(row["features"][name]) for name in spec.names}
             out.append(
                 GeneratedRecord(

@@ -19,11 +19,11 @@ The trust objective couples model quality to that score:
                                 - security_weight * security
 
 where mean_penalty is the training penalty
-:func:`~bxhf.learning.mean_sign_violation`, the row mean of
-:func:`~bxhf.explain.plausibility_penalty` over each row's exact
-explanation, computed in one vectorized pass.  Tampering with any stored
-record strictly increases the objective when the security weight is
-positive.
+:func:`~bxhf.learning.mean_sign_violation`: over each row's exact
+explanation (:func:`~bxhf.explain.explain_linear`), the sum of the hinges
+on attributions whose sign contradicts the declared direction, averaged
+over rows in one vectorized pass.  Tampering with any stored record
+strictly increases the objective when the security weight is positive.
 """
 
 from __future__ import annotations

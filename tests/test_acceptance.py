@@ -30,9 +30,9 @@ from bxhf.learning import (
     apply_delta,
     fed_avg,
     local_update,
+    loss,
     mean_sign_violation,
     objective_gradient,
-    objective_value,
     predict_margins,
     train_constrained,
 )
@@ -49,6 +49,11 @@ from bxhf.trust import (
 def _verdict(number: int, label: str, ok: bool, detail: str) -> None:
     print(f"criterion {number:>2} {label:<26} {'PASS' if ok else 'FAIL'} ({detail})")
     assert ok, f"criterion {number} {label}: {detail}"
+
+
+def _objective(model, data, spec, lam):
+    """The penalized training objective whose gradient is checked."""
+    return loss(model, data) + lam * mean_sign_violation(model, data.X, spec)
 
 
 def _demo_world():
@@ -163,12 +168,12 @@ def test_criterion_04_access_truth_table():
     keys.register("k-h", rng.bytes(crypto.KEY_LEN))
     table = {}
     for rid in ("r1", "r2"):
-        value = {"record_id": rid, "features": {"hr": 72.0}, "outcome": 0.0}
+        encoded = canon.canonicalize({"record_id": rid, "features": {"hr": 72.0}, "outcome": 0.0})
         table[rid] = SealedRecord(
             rid,
             "hosp",
-            crypto.seal(value, "k-h", keys, rng.bytes(crypto.NONCE_LEN)),
-            crypto.commit(value, rng.bytes(crypto.SALT_LEN)),
+            crypto.seal(encoded, "k-h", keys, rng.bytes(crypto.NONCE_LEN)),
+            crypto.commit(encoded, rng.bytes(crypto.SALT_LEN)),
         )
 
     base = {
@@ -308,12 +313,12 @@ def test_criterion_07_gradient_check():
             wp[j] += h
             wm[j] -= h
             numeric[j] = (
-                objective_value(LinearModel(wp, b, link), data, spec, lam)
-                - objective_value(LinearModel(wm, b, link), data, spec, lam)
+                _objective(LinearModel(wp, b, link), data, spec, lam)
+                - _objective(LinearModel(wm, b, link), data, spec, lam)
             ) / (2 * h)
         numeric[m] = (
-            objective_value(LinearModel(w, b + h, link), data, spec, lam)
-            - objective_value(LinearModel(w, b - h, link), data, spec, lam)
+            _objective(LinearModel(w, b + h, link), data, spec, lam)
+            - _objective(LinearModel(w, b - h, link), data, spec, lam)
         ) / (2 * h)
         analytic = np.append(gw, gb)
         rel = np.linalg.norm(analytic - numeric) / max(np.linalg.norm(numeric), 1e-12)
@@ -330,9 +335,7 @@ def test_criterion_08_trust_identities():
 
     security = security_score(world.ledger, world.record_table, world.keys, 6)
     plain = trust_objective(model, pooled, spec, security, 0.0, 0.0)
-    from bxhf.learning import loss as loss_fn
-
-    identity_a = plain.objective == loss_fn(model, pooled)
+    identity_a = plain.objective == loss(model, pooled)
 
     lam2 = 0.8
     high = SecurityReport(1.0, 1.0, 1.0, (1 / 3, 1 / 3, 1 / 3), 1.0)

@@ -15,7 +15,9 @@ from bxhf.access import (
     institution_scope,
     update_consent,
 )
+from bxhf.canon import canonicalize
 from bxhf.crypto import KeyTable, NONCE_LEN, SALT_LEN, commit, seal
+from bxhf.harness import SealedRecord
 from bxhf.ledger import Ledger, LogicalClock
 
 
@@ -139,19 +141,14 @@ def test_update_consent_appends_transaction():
     assert AccessPolicy.from_value(tx.body) == _policy()
 
 
-class _Rec:
-    def __init__(self, sealed, institution_id):
-        self.sealed = sealed
-        self.institution_id = institution_id
-
-
 def _world():
     rng = np.random.default_rng(5)
     keys = KeyTable()
     keys.register("k-h", rng.bytes(32))
-    payload = {"record_id": "rec-1", "features": {"hr": 70.0}, "outcome": 1.0}
+    payload = canonicalize({"record_id": "rec-1", "features": {"hr": 70.0}, "outcome": 1.0})
     sealed = seal(payload, "k-h", keys, rng.bytes(NONCE_LEN))
-    table = {"rec-1": _Rec(sealed, "hospital-a")}
+    commitment = commit(payload, rng.bytes(SALT_LEN))
+    table = {"rec-1": SealedRecord("rec-1", "hospital-a", sealed, commitment)}
     chain = Ledger()
     clock = LogicalClock()
     registry = ConsentRegistry()

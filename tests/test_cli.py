@@ -119,14 +119,15 @@ def test_each_command_opens_only_the_records_it_reads(tmp_path, capsys, monkeypa
     decision = _report(out)["decision_tx_ids"][0]
     records = len(read_canonical(out / WORLD_FILE)["records"])
     opened = []
-    unseal_bytes = crypto.unseal_bytes
+    unseal = crypto.unseal
 
     def counted(payload, keys):
         opened.append(payload)
-        return unseal_bytes(payload, keys)
+        return unseal(payload, keys)
 
-    monkeypatch.setattr(crypto, "unseal_bytes", counted)
+    monkeypatch.setattr(crypto, "unseal", counted)
     for argv, rc, opens in (
+        (["run", "--scenario", str(out / SCENARIO_FILE), "--out", str(tmp_path / "again")], 0, records),
         (["verify-decision", "--world", str(out), "--decision", decision], 0, 1),
         (["explain", "--world", str(out), "--record", _record_of(out, decision)], 0, 0),
         (["score", "--world", str(out)], 0, records),
@@ -149,9 +150,10 @@ def test_record_missing_a_feature_fails_score_not_other_decisions(tmp_path, caps
     keys = crypto.KeyTable.from_value(value["keys"])
     record = value["records"][damaged]["sealed"]
     sealed = crypto.SealedPayload.from_value(record)
-    plaintext = crypto.unseal(sealed, keys)
+    plaintext = canon.loads(crypto.unseal(sealed, keys))
     del plaintext["features"][sorted(plaintext["features"])[0]]
-    resealed = crypto.seal(plaintext, sealed.key_id, keys, b"\x01" * crypto.NONCE_LEN)
+    encoded = canon.canonicalize(plaintext)
+    resealed = crypto.seal(encoded, sealed.key_id, keys, b"\x01" * crypto.NONCE_LEN)
     value["records"][damaged]["sealed"] = resealed.to_value()
     write_canonical(out / WORLD_FILE, value)
     capsys.readouterr()
@@ -165,7 +167,7 @@ def test_record_missing_a_feature_fails_score_not_other_decisions(tmp_path, caps
 
     # committed to as well, in world.bx and in the decision (no hash fixed):
     # the decision's own block no longer verifies
-    commitment = crypto.commit(plaintext, b"\x02" * crypto.SALT_LEN)
+    commitment = crypto.commit(encoded, b"\x02" * crypto.SALT_LEN)
     value["records"][damaged]["commitment"] = commitment.to_value()
     write_canonical(out / WORLD_FILE, value)
     lines = (out / LEDGER_FILE).read_bytes().split(b"\n")

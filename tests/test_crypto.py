@@ -15,14 +15,10 @@ from bxhf.crypto import (
     UnknownKeyError,
     ZERO_HASH,
     commit,
-    commit_bytes,
     digest,
     digest_value,
     seal,
-    seal_bytes,
     unseal,
-    unseal_bytes,
-    verify_commit,
 )
 from bxhf.canon import canonicalize
 
@@ -57,63 +53,57 @@ def test_zero_hash_shape():
 
 def test_commitment_round_trip():
     salt = bytes(range(SALT_LEN))
-    record = {"record_id": "r1", "features": {"hr": 72.0}}
-    c = commit(record, salt)
-    assert verify_commit(record, c)
-    assert not verify_commit({"record_id": "r1", "features": {"hr": 72.5}}, c)
+    encoded = canonicalize({"record_id": "r1", "features": {"hr": 72.0}})
+    c = commit(encoded, salt)
+    assert c.matches(encoded)
+    assert not c.matches(canonicalize({"record_id": "r1", "features": {"hr": 72.5}}))
     assert c.digest == digest(b'{"features":{"hr":f"4052000000000000"},"record_id":"r1"}' + salt)
 
 
 def test_commitment_salt_hides_content():
-    record = {"v": 1}
-    c1 = commit(record, b"\x00" * SALT_LEN)
-    c2 = commit(record, b"\x01" * SALT_LEN)
+    c1 = commit(b'{"v":1}', b"\x00" * SALT_LEN)
+    c2 = commit(b'{"v":1}', b"\x01" * SALT_LEN)
     assert c1.digest != c2.digest
 
 
 def test_commit_rejects_bad_salt_length():
     with pytest.raises(ValueError):
-        commit({"v": 1}, b"short")
+        commit(b'{"v":1}', b"short")
 
 
 def test_seal_unseal_round_trip():
     keys = _table()
-    value = {"record_id": "r9", "outcome": 1.0}
-    payload = seal(value, "k-a", keys, b"\x00" * NONCE_LEN)
-    assert unseal(payload, keys) == value
+    encoded = canonicalize({"record_id": "r9", "outcome": 1.0})
+    payload = seal(encoded, "k-a", keys, b"\x00" * NONCE_LEN)
+    assert unseal(payload, keys) == encoded
     assert payload.key_id == "k-a"
     assert len(payload.auth_tag) == 16
     assert payload.ciphertext[:NONCE_LEN] == b"\x00" * NONCE_LEN
 
 
-def test_byte_forms_are_the_value_forms_over_canonical_bytes():
+def test_commit_and_seal_cover_one_encoding():
     keys = _table()
-    value = {"record_id": "r9", "features": {"hr": 61.5}, "outcome": 0.0}
-    encoded = canonicalize(value)
+    encoded = canonicalize({"record_id": "r9", "features": {"hr": 61.5}, "outcome": 0.0})
     salt, nonce = b"\x05" * SALT_LEN, b"\x09" * NONCE_LEN
-    assert commit_bytes(encoded, salt) == commit(value, salt)
-    assert commit_bytes(encoded, salt).matches(encoded)
-    sealed = seal_bytes(encoded, "k-a", keys, nonce)
-    assert sealed == seal(value, "k-a", keys, nonce)
-    assert unseal_bytes(sealed, keys) == encoded
+    commitment = commit(encoded, salt)
+    assert commitment.digest == digest(encoded + salt)
+    assert commitment.matches(unseal(seal(encoded, "k-a", keys, nonce), keys))
     with pytest.raises(ValueError):
-        commit_bytes(encoded, b"short")
-    with pytest.raises(ValueError):
-        seal_bytes(encoded, "k-a", keys, b"short")
+        seal(encoded, "k-a", keys, b"short")
 
 
 def test_seal_is_deterministic_given_nonce():
     keys = _table()
-    value = {"v": [1, 2, 3]}
+    encoded = canonicalize({"v": [1, 2, 3]})
     nonce = b"\x07" * NONCE_LEN
-    a = seal(value, "k-a", keys, nonce)
-    b = seal(value, "k-a", keys, nonce)
+    a = seal(encoded, "k-a", keys, nonce)
+    b = seal(encoded, "k-a", keys, nonce)
     assert a == b
 
 
 def test_unseal_wrong_key_is_authentication_error():
     keys = _table()
-    payload = seal({"v": 1}, "k-a", keys, b"\x01" * NONCE_LEN)
+    payload = seal(b'{"v":1}', "k-a", keys, b"\x01" * NONCE_LEN)
     other = KeyTable()
     other.register("k-a", np.random.default_rng(99).bytes(32))
     with pytest.raises(AuthenticationError):
@@ -122,7 +112,7 @@ def test_unseal_wrong_key_is_authentication_error():
 
 def test_unseal_unknown_key_is_distinct_error():
     keys = _table()
-    payload = seal({"v": 1}, "k-a", keys, b"\x01" * NONCE_LEN)
+    payload = seal(b'{"v":1}', "k-a", keys, b"\x01" * NONCE_LEN)
     empty = KeyTable()
     with pytest.raises(UnknownKeyError):
         unseal(payload, empty)
@@ -131,7 +121,7 @@ def test_unseal_unknown_key_is_distinct_error():
 
 def test_any_single_byte_flip_fails_authentication():
     keys = _table()
-    payload = seal({"v": "sensitive"}, "k-b", keys, b"\x02" * NONCE_LEN)
+    payload = seal(b'{"v":"sensitive"}', "k-b", keys, b"\x02" * NONCE_LEN)
     for offset in range(len(payload.ciphertext)):
         mutated = bytearray(payload.ciphertext)
         mutated[offset] ^= 0x01
@@ -156,7 +146,7 @@ def test_key_table_round_trip():
 
 
 def test_commitment_value_round_trip():
-    c = commit({"x": 2}, b"\xaa" * SALT_LEN)
+    c = commit(b'{"x":2}', b"\xaa" * SALT_LEN)
     assert Commitment.from_value(c.to_value()) == c
-    p = seal({"x": 2}, "k-a", _table(), b"\x03" * NONCE_LEN)
+    p = seal(b'{"x":2}', "k-a", _table(), b"\x03" * NONCE_LEN)
     assert SealedPayload.from_value(p.to_value()) == p

@@ -7,16 +7,16 @@ import numpy as np
 import pytest
 
 from bxhf.crypto import ZERO_HASH
-from bxhf.explain import (
-    COMPLETENESS_TOL,
-    Explanation,
-    SubsetCapacityError,
-    check_completeness,
-    explain_linear,
-    plausibility_penalty,
-    shapley_bruteforce,
-)
-from bxhf.learning import FeatureSpec, LinearModel, predict_margins
+from bxhf.explain import Explanation, SubsetCapacityError, explain_linear, shapley_bruteforce
+from bxhf.learning import FeatureSpec, LinearModel, mean_sign_violation, predict_margins
+
+COMPLETENESS_TOL = 1e-9
+
+
+def _complete(exp: Explanation, model: LinearModel, x) -> bool:
+    """The completeness identity: baseline value plus attributions is the margin."""
+    margin = float(np.asarray(x, dtype=float) @ model.weights + model.bias)
+    return abs(exp.total() - margin) <= COMPLETENESS_TOL
 
 
 def _random_case(rng, m: int):
@@ -47,7 +47,7 @@ def test_completeness_identity_over_random_models():
         margin = float(predict_margins(model, x.reshape(1, -1))[0])
         # total() is baseline plus attributions, i.e. the reconstructed margin
         assert abs(exp.total() - margin) <= COMPLETENESS_TOL
-        assert check_completeness(exp, model, x)
+        assert _complete(exp, model, x)
 
 
 def test_completeness_check_rejects_doctored_attribution():
@@ -55,7 +55,7 @@ def test_completeness_check_rejects_doctored_attribution():
     spec, model, x = _random_case(rng, 3)
     exp = explain_linear(model, spec, x)
     exp.attributions["f1"] += 1e-6
-    assert not check_completeness(exp, model, x)
+    assert not _complete(exp, model, x)
 
 
 def test_closed_form_matches_subset_enumeration():
@@ -100,25 +100,16 @@ def test_dimension_mismatch_rejected():
 
 
 def test_plausibility_penalty_hand_values():
+    # one row at unit weights and a zero baseline: attributions are the row
     spec = FeatureSpec(["up", "down", "free"], np.zeros(3), np.array([1, -1, 0]))
-    exp = Explanation(
-        record_ref="r1",
-        baseline_value=0.0,
-        attributions={"up": -0.4, "down": 0.3, "free": -9.0},
-        model_hash=ZERO_HASH,
-        input_commitment=ZERO_HASH,
-    )
+    model = LinearModel(np.ones(3), 0.0, "logistic")
+    row = np.array([-0.4, 0.3, -9.0])
+    assert explain_linear(model, spec, row).attribution_vector(spec).tolist() == row.tolist()
     # "up" violates by 0.4, "down" by 0.3, "free" is never penalized
-    assert plausibility_penalty(exp, spec) == pytest.approx(0.7)
+    assert mean_sign_violation(model, row[None, :], spec) == pytest.approx(0.7)
 
-    satisfied = Explanation(
-        record_ref="r1",
-        baseline_value=0.0,
-        attributions={"up": 0.4, "down": -0.3, "free": 2.0},
-        model_hash=ZERO_HASH,
-        input_commitment=ZERO_HASH,
-    )
-    assert plausibility_penalty(satisfied, spec) == 0.0
+    satisfied = np.array([0.4, -0.3, 2.0])
+    assert mean_sign_violation(model, satisfied[None, :], spec) == 0.0
 
 
 def test_explanation_value_round_trip_and_digest():

@@ -25,8 +25,8 @@ from bxhf.harness import (
     verify_decision,
     world_value,
 )
-from bxhf.canon import NotationParseError, canonicalize
-from bxhf.explain import explain_linear, plausibility_penalty
+from bxhf.canon import NotationParseError, canonicalize, loads
+from bxhf.explain import explain_linear
 from bxhf.ledger import dump_ledger
 from bxhf.scenario import demo_profile, rare_disease_profile, validate_config
 from bxhf.trust import DEFAULT_WEIGHTS, SecurityReport, trust_objective, verify_record
@@ -133,7 +133,7 @@ def test_record_resealed_with_re_spaced_plaintext_fails_input_checks():
     world, report = _ran()
     txid, rid = _decision_for_record(world, report)
     record = world.records[rid]
-    plain = crypto.unseal_bytes(record.sealed, world.keys)
+    plain = crypto.unseal(record.sealed, world.keys)
     re_spaced = b"{ " + plain[1:]
     nonce = record.sealed.ciphertext[: crypto.NONCE_LEN]
     sealed = AESGCM(world.keys.get(record.sealed.key_id)).encrypt(nonce, re_spaced, None)
@@ -147,9 +147,9 @@ def test_record_resealed_with_re_spaced_plaintext_fails_input_checks():
     )
     resealed = world.records[rid]
     # same key, authenticates, but the plaintext is not canonical notation
-    assert crypto.unseal_bytes(resealed.sealed, world.keys) == re_spaced
+    assert crypto.unseal(resealed.sealed, world.keys) == re_spaced
     with pytest.raises(NotationParseError):
-        crypto.unseal(resealed.sealed, world.keys)
+        loads(re_spaced)
     assert verify_record(record, world.keys, record.commitment.digest) == plain
     assert verify_record(resealed, world.keys, record.commitment.digest) is None
     assert verify_decision(world, txid) == "input"
@@ -163,7 +163,11 @@ def test_objective_penalty_is_the_mean_per_row_explanation_penalty():
     report = trust_objective(
         world.model, pooled, spec, clean, penalty_weight=0.5, security_weight=0.0
     )
-    per_row = [plausibility_penalty(explain_linear(world.model, spec, x), spec) for x in pooled.X]
+    # each row's hinge, over the attributions of its own explanation
+    per_row = [
+        float(np.sum(np.maximum(0.0, -spec.sign_constraints * attr)))
+        for attr in (explain_linear(world.model, spec, x).attribution_vector(spec) for x in pooled.X)
+    ]
     assert report.mean_penalty == float(np.mean(per_row))
 
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from bxhf.explain import explain_linear, plausibility_penalty
+from bxhf.explain import explain_linear
 from bxhf.ledger import Ledger, LogicalClock
 from bxhf.learning import (
     Dataset,
@@ -25,15 +25,27 @@ from bxhf.learning import (
     loss,
     mean_sign_violation,
     objective_gradient,
-    objective_value,
     predict,
     predict_margins,
     train_constrained,
-    train_erm,
 )
 
 SIGMOID_NEG_ONE = 0.2689414213699951  # 1 / (1 + e)
 LN_TWO = 0.6931471805599453
+
+
+def _objective(model: LinearModel, data: Dataset, spec: FeatureSpec, lam: float) -> float:
+    """The penalized training objective: mean loss plus the weighted hinge."""
+    return loss(model, data) + lam * mean_sign_violation(model, data.X, spec)
+
+
+def _trajectory(data: Dataset, spec: FeatureSpec, cfg: TrainConfig, link: str) -> list:
+    """Every iterate of ``cfg.epochs`` training steps from zero, one step at a time."""
+    one_step = TrainConfig(cfg.learning_rate, 1, cfg.penalty_weight)
+    models = [train_constrained(data, spec, TrainConfig(cfg.learning_rate, 0), link=link)]
+    for _ in range(cfg.epochs):
+        models.append(train_constrained(data, spec, one_step, init=models[-1]))
+    return models
 
 
 def _spec(m: int, signs=None) -> FeatureSpec:
@@ -130,7 +142,7 @@ def test_identity_regression_matches_lstsq():
     design = np.column_stack([X, np.ones_like(x)])
     expected, *_ = np.linalg.lstsq(design, y, rcond=None)
 
-    model = train_erm(
+    model = train_constrained(
         Dataset(X, y, "o"), _spec(1), TrainConfig(0.2, 1500), link="identity"
     )
     assert abs(model.weights[0] - expected[0]) < 1e-6
@@ -141,7 +153,7 @@ def test_zero_epochs_returns_init_unchanged():
     rng = np.random.default_rng(3)
     data = Dataset(rng.standard_normal((10, 2)), rng.integers(0, 2, 10).astype(float), "a")
     init = LinearModel(np.array([0.3, -0.7]), 0.1, "logistic")
-    out = train_erm(data, _spec(2), TrainConfig(0.5, 0), init=init)
+    out = train_constrained(data, _spec(2), TrainConfig(0.5, 0), init=init)
     assert np.array_equal(out.weights, init.weights) and out.bias == init.bias
     assert out is not init  # callers keep their copy
 
@@ -151,23 +163,24 @@ def test_zero_penalty_constrained_equals_erm_trajectory():
     X = rng.standard_normal((30, 3))
     y = rng.integers(0, 2, 30).astype(float)
     data = Dataset(X, y, "a")
-    spec = _spec(3, signs=(1, -1, 0))
-    cfg = TrainConfig(0.4, 50, penalty_weight=0.0)
-    trace_a: list[float] = []
-    trace_b: list[float] = []
-    erm = train_erm(data, spec, cfg, loss_trace=trace_a)
-    con = train_constrained(data, spec, cfg, loss_trace=trace_b)
-    assert np.array_equal(erm.weights, con.weights)
-    assert erm.bias == con.bias
-    assert trace_a == trace_b
+    cfg = TrainConfig(0.4, 50)
+    assert cfg.penalty_weight == 0.0  # ERM is the default
+    # with no penalty the sign constraints change nothing, step for step
+    constrained = _trajectory(data, _spec(3, signs=(1, -1, 0)), cfg, "logistic")
+    erm = _trajectory(data, _spec(3), cfg, "logistic")
+    for a, b in zip(constrained, erm, strict=True):
+        assert np.array_equal(a.weights, b.weights) and a.bias == b.bias
+    whole = train_constrained(data, _spec(3, signs=(1, -1, 0)), cfg)
+    assert np.array_equal(whole.weights, erm[-1].weights) and whole.bias == erm[-1].bias
 
 
 def test_loss_trace_non_increasing_on_smooth_problem():
     rng = np.random.default_rng(12)
     X = rng.standard_normal((25, 2))
     y = X @ np.array([1.0, -0.5]) + 0.3
-    trace: list[float] = []
-    train_erm(Dataset(X, y, "a"), _spec(2), TrainConfig(0.05, 200), link="identity", loss_trace=trace)
+    data = Dataset(X, y, "a")
+    models = _trajectory(data, _spec(2), TrainConfig(0.05, 200), "identity")
+    trace = [loss(model, data) for model in models]
     assert len(trace) == 201
     assert all(b <= a + 1e-12 for a, b in zip(trace, trace[1:]))
 
@@ -178,7 +191,7 @@ def test_absurd_learning_rate_diverges():
     X = rng.standard_normal((20, 2)) * 10
     y = X @ np.array([3.0, -4.0])
     with pytest.raises(DivergenceError):
-        train_erm(Dataset(X, y, "a"), _spec(2), TrainConfig(1e6, 400), link="identity")
+        train_constrained(Dataset(X, y, "a"), _spec(2), TrainConfig(1e6, 400), link="identity")
 
 
 def test_sign_violation_hand_oracle():
@@ -205,8 +218,10 @@ def test_violation_matches_per_row_explanation_penalty():
         )
         model = LinearModel(rng.standard_normal(m), float(rng.standard_normal()), "logistic")
         X = rng.standard_normal((12, m))
+        # each row's hinge, over the attributions of its own explanation
         per_row = [
-            plausibility_penalty(explain_linear(model, spec, x), spec) for x in X
+            float(np.sum(np.maximum(0.0, -spec.sign_constraints * attr)))
+            for attr in (explain_linear(model, spec, x).attribution_vector(spec) for x in X)
         ]
         assert mean_sign_violation(model, X, spec) == pytest.approx(
             float(np.mean(per_row)), abs=1e-12
@@ -244,12 +259,12 @@ def test_objective_gradient_matches_central_differences():
             wp[j] += h
             wm[j] -= h
             numeric[j] = (
-                objective_value(LinearModel(wp, b, link), data, spec, lam)
-                - objective_value(LinearModel(wm, b, link), data, spec, lam)
+                _objective(LinearModel(wp, b, link), data, spec, lam)
+                - _objective(LinearModel(wm, b, link), data, spec, lam)
             ) / (2 * h)
         numeric[m] = (
-            objective_value(LinearModel(w, b + h, link), data, spec, lam)
-            - objective_value(LinearModel(w, b - h, link), data, spec, lam)
+            _objective(LinearModel(w, b + h, link), data, spec, lam)
+            - _objective(LinearModel(w, b - h, link), data, spec, lam)
         ) / (2 * h)
         analytic = np.append(gw, gb)
         rel = np.linalg.norm(analytic - numeric) / max(np.linalg.norm(numeric), 1e-12)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 
@@ -132,6 +134,11 @@ def test_policy_field_errors_carry_path():
     value = _minimal()
     value["policies"][0]["granted"] = 1
     _expect_error(value, "policies[0]")
+    # the ledger's ConsentUpdate schema: integer window ends
+    for field, bad in (("valid_from", "1"), ("valid_from", True), ("valid_until", 5.5)):
+        value = _minimal()
+        value["policies"][0][field] = bad
+        _expect_error(value, f"policies[0]: ConsentUpdate.{field} must be an integer")
 
 
 def test_request_record_and_purpose_checked():
@@ -231,9 +238,90 @@ def test_inline_feature_names_must_match_panel():
         ],
     }
     value["requests"] = [{"user_id": "u1", "record_id": "h1-a", "purpose": "treatment"}]
-    config = validate_config(value)
-    with pytest.raises(ConfigError):
-        generate_records(config, np.random.default_rng(0))
+    _expect_error(value, "records.rows[0].features: expected exactly the panel's features")
+
+
+def _inline(features=None, outcome=1.0) -> dict:
+    row = {"record_id": "h1-a", "institution_id": "h1", "outcome": outcome}
+    row["features"] = {"a": 1.0, "b": 2.0} if features is None else features
+    return {"mode": "inline", "rows": [row]}
+
+
+def _set(path: tuple, value):
+    def edit(config: dict):
+        holder = config
+        for key in path[:-1]:
+            holder = holder[key]
+        holder[path[-1]] = value
+
+    return edit
+
+
+def _set_records(records: dict):
+    def edit(config: dict):
+        config["records"] = records
+        config["policies"][0]["record_scope"] = "h1-a"
+        config["requests"] = [{"user_id": "u1", "record_id": "h1-a", "purpose": "treatment"}]
+
+    return edit
+
+
+@pytest.mark.parametrize(
+    "edit, field",
+    [
+        (_set(("records", "planted_weights", 0), "x"), "records.planted_weights[0]: expected a number"),
+        (_set(("records", "planted_weights", 1), [1]), "records.planted_weights[1]: expected a number"),
+        (_set(("records", "planted_weights", 0), True), "records.planted_weights[0]: expected a number"),
+        (_set(("records", "planted_weights", 0), 10**400), "records.planted_weights[0]: number out of range"),
+        (_set(("records", "noise"), "x"), "records.noise: expected a number"),
+        (_set(("records", "noise"), False), "records.noise: expected a number"),
+        (_set_records(_inline({"a": "x", "b": 2.0})), "records.rows[0].features.a: expected a number"),
+        (_set_records(_inline({"a": 1.0, "b": [1]})), "records.rows[0].features.b: expected a number"),
+        (_set_records(_inline({"a": True, "b": 2.0})), "records.rows[0].features.a: expected a number"),
+        (_set_records(_inline({"a": 10**400, "b": 2.0})), "records.rows[0].features.a: number out of range"),
+        (_set_records(_inline({"a": 1.0})), "records.rows[0].features: expected exactly the panel's"),
+        (_set_records(_inline({"a": 1.0, "b": 2.0, "c": 3.0})), "records.rows[0].features: expected exactly"),
+        (_set_records(_inline(outcome=2.0)), "records.rows[0].outcome: expected 0 or 1 under the logistic"),
+        (_set_records(_inline(outcome=True)), "records.rows[0].outcome: expected a number"),
+        (_set(("features", "baseline", 1), True), "features.baseline[1]: expected a number"),
+        (_set(("features", "baseline", 0), "0.5"), "features.baseline[0]: expected a number"),
+    ],
+    ids=[
+        "text-weight",
+        "list-weight",
+        "bool-weight",
+        "huge-weight",
+        "text-noise",
+        "bool-noise",
+        "text-feature",
+        "list-feature",
+        "bool-feature",
+        "huge-feature",
+        "missing-feature",
+        "extra-feature",
+        "logistic-outcome-2",
+        "bool-outcome",
+        "bool-baseline",
+        "text-baseline",
+    ],
+)
+def test_numbers_are_checked_before_run(tmp_path, capsys, edit, field):
+    value = _minimal()
+    edit(value)
+    _expect_error(value, field)
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(value))
+    assert main(["run", "--scenario", str(path), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and field in err
+
+
+def test_inline_outcomes_are_free_under_the_identity_link():
+    value = _minimal()
+    _set_records(_inline(outcome=2.5))(value)
+    value["train"]["link"] = "identity"
+    [record] = generate_records(validate_config(value), np.random.default_rng(0))
+    assert record.outcome == 2.5 and record.features == {"a": 1.0, "b": 2.0}
 
 
 def test_generation_is_deterministic_for_a_seed():

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from bxhf import crypto
+from bxhf.canon import canonicalize
 from bxhf.harness import SealedRecord
 from bxhf.learning import Dataset, FeatureSpec, LinearModel, loss, mean_sign_violation
 from bxhf.ledger import Ledger, LogicalClock, build_transaction
@@ -23,9 +24,9 @@ KEY_ID = "k-h"
 
 
 def _sealed(keys: crypto.KeyTable, rng: np.random.Generator, record_id: str) -> SealedRecord:
-    value = {"record_id": record_id, "features": {"hr": float(rng.uniform(50, 110))}}
-    commitment = crypto.commit(value, rng.bytes(crypto.SALT_LEN))
-    payload = crypto.seal(value, KEY_ID, keys, rng.bytes(crypto.NONCE_LEN))
+    encoded = canonicalize({"record_id": record_id, "features": {"hr": float(rng.uniform(50, 110))}})
+    commitment = crypto.commit(encoded, rng.bytes(crypto.SALT_LEN))
+    payload = crypto.seal(encoded, KEY_ID, keys, rng.bytes(crypto.NONCE_LEN))
     return SealedRecord(record_id, "hosp", payload, commitment)
 
 
@@ -87,7 +88,7 @@ def _tamper_record(table: dict, record_id: str) -> None:
 def test_verify_record_accepts_intact_and_rejects_tampered():
     _, table, keys = _world(1)
     record = table["r0"]
-    plain = crypto.unseal_bytes(record.sealed, keys)
+    plain = crypto.unseal(record.sealed, keys)
     assert verify_record(record, keys, record.commitment.digest) == plain
     assert verify_record(record, keys, "0" * 64) is None  # wrong registered digest
     _tamper_record(table, "r0")
