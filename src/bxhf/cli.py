@@ -11,10 +11,9 @@ import json
 import sys
 from pathlib import Path
 
-from . import canon, crypto, harness
+from . import canon, harness
 from .access import IntegrityAlarmError
 from .canon import CanonicalizationError, NotationParseError
-from .explain import Explanation
 from .ledger import dump_lines, load_ledger, verify_dump
 from .scenario import (
     ConfigError,
@@ -112,10 +111,8 @@ def _cmd_verify_decision(args) -> int:
 
 def _parse_target(spec: str) -> tuple[str, str]:
     kind, sep, key = spec.partition(":")
-    if not sep or kind not in ("block", "record", "explanation") or not key:
-        raise ConfigError(
-            f"target must be block:<index>, record:<id> or explanation:<tx-id>, got {spec!r}"
-        )
+    if not sep or kind not in ("block", "record") or not key:
+        raise ConfigError(f"target must be block:<index> or record:<id>, got {spec!r}")
     return kind, key
 
 
@@ -146,24 +143,16 @@ def _cmd_tamper(args) -> int:
     path = base / harness.WORLD_FILE
     value = harness.read_canonical(path)
     try:
-        if kind == "record":
-            holder = value["records"][key]["sealed"]
-            holder["ciphertext"] = harness.flip_bit(
-                holder["ciphertext"], args.offset, f"record {key}"
-            )
-        else:
-            holder = value["decisions"][key]
-            holder["explanation"] = harness.flip_bit(
-                holder["explanation"], args.offset, f"explanation {key}"
-            )
+        holder = value["records"][key]["sealed"]
+        holder["ciphertext"] = harness.flip_bit(holder["ciphertext"], args.offset, f"record {key}")
     except KeyError:
-        print(f"no {kind} {key!r} in {path}", file=sys.stderr)
+        print(f"no record {key!r} in {path}", file=sys.stderr)
         return 2
     except IndexError as exc:
         print(str(exc), file=sys.stderr)
         return 2
     harness.write_canonical(path, value)
-    print(f"flipped bit at byte {args.offset} of {kind} {key}")
+    print(f"flipped bit at byte {args.offset} of record {key}")
     return 0
 
 
@@ -183,21 +172,6 @@ def _cmd_score(args) -> int:
     return 0 if clean else 1
 
 
-def _explanation_lines(stored: bytes, prediction: bytes | None) -> list[str]:
-    explanation = Explanation.from_value(canon.loads(stored))
-    lines = []
-    if prediction is not None:
-        pred_value = canon.loads(prediction)
-        lines.append(
-            f"  prediction {pred_value['prediction']:+.6f}"
-            f" (margin {pred_value['margin']:+.6f})"
-        )
-    lines.append(f"  baseline {explanation.baseline_value:+.6f}")
-    for name, alpha in sorted(explanation.attributions.items(), key=lambda kv: -abs(kv[1])):
-        lines.append(f"  {name:<20} {alpha:+.6f}")
-    return lines
-
-
 def _cmd_explain(args) -> int:
     world = harness.load_world(args.world)
     if args.record not in world.records:
@@ -214,24 +188,19 @@ def _cmd_explain(args) -> int:
     if not decisions:
         print(f"no decisions recorded for {args.record!r}")
     for tx in decisions:
-        artifacts = world.decision_artifacts.get(tx.tx_id, {})
-        stored = artifacts.get("explanation")
         print(f"decision {tx.tx_id}")
-        if stored is None:
-            print("  stored explanation missing")
+        # only what the decision check re-derived and matched to the chain
+        verdict, derived = harness.check_decision(world, tx)
+        if derived is None:
+            print(f"  mismatch: {verdict}")
             status = 1
             continue
-        try:
-            lines = _explanation_lines(stored, artifacts.get("prediction"))
-        except (KeyError, TypeError, ValueError):  # ValueError covers parse errors
-            print("  stored explanation or prediction does not parse (tampered?)")
-            status = 1
-            continue
-        print("\n".join(lines))
-        bound = crypto.digest(stored) == tx.body["explanation_hash"]
-        print(f"  on-chain binding: {'ok' if bound else 'MISMATCH'}")
-        if not bound:
-            status = 1
+        prediction, explanation = derived
+        print(f"  prediction {prediction['prediction']:+.6f} (margin {prediction['margin']:+.6f})")
+        print(f"  baseline {explanation.baseline_value:+.6f}")
+        for name, alpha in sorted(explanation.attributions.items(), key=lambda kv: -abs(kv[1])):
+            print(f"  {name:<20} {alpha:+.6f}")
+        print("  on-chain binding: ok")
     return status
 
 
@@ -270,7 +239,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("tamper", help="flip one bit in a stored artifact")
     p.add_argument("--world", required=True)
-    p.add_argument("--target", required=True, help="block:<i> | record:<id> | explanation:<tx>")
+    p.add_argument("--target", required=True, help="block:<i> | record:<id>")
     p.add_argument("--offset", type=int, required=True)
     p.set_defaults(func=_cmd_tamper)
 
@@ -278,7 +247,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--world", required=True)
     p.set_defaults(func=_cmd_score)
 
-    p = sub.add_parser("explain", help="show stored explanations for a record")
+    p = sub.add_parser("explain", help="re-derive and show a record's decisions")
     p.add_argument("--world", required=True)
     p.add_argument("--record", required=True)
     p.set_defaults(func=_cmd_explain)

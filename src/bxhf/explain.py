@@ -67,17 +67,6 @@ class Explanation:
             "scale": self.scale,
         }
 
-    @classmethod
-    def from_value(cls, value: dict) -> "Explanation":
-        return cls(
-            record_ref=value["record_ref"],
-            baseline_value=value["baseline_value"],
-            attributions=dict(value["attributions"]),
-            model_hash=value["model_hash"],
-            input_commitment=value["input_commitment"],
-            scale=value["scale"],
-        )
-
     def digest(self) -> str:
         return crypto.digest_value(self.to_value())
 

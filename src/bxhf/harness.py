@@ -25,6 +25,7 @@ from .access import (
 from .explain import Explanation, explain_linear
 from .learning import (
     Dataset,
+    DivergenceError,
     FeatureSpec,
     LinearModel,
     TrainConfig,
@@ -44,6 +45,7 @@ from .ledger import (
     load_ledger,
 )
 from .scenario import (
+    ConfigError,
     ScenarioConfig,
     dump_scenario,
     generate_records,
@@ -58,6 +60,7 @@ __all__ = [
     "UnknownDecisionError",
     "WorldState",
     "build_scenario",
+    "check_decision",
     "flip_bit",
     "load_world",
     "read_canonical",
@@ -166,7 +169,6 @@ class WorldState:
     records: dict[str, SealedRecord]
     registry: ConsentRegistry | None
     model: LinearModel | None = None
-    decision_artifacts: dict[str, dict[str, bytes]] = field(default_factory=dict)
     report: dict | None = None
     # None until first read on a loaded world; see ``datasets``
     _datasets: dict[str, Dataset] | None = field(default=None, repr=False)
@@ -334,16 +336,22 @@ def run_workflow(world: WorldState) -> dict:
     model = LinearModel(np.zeros(spec.dim), 0.0, link)
     pooled = world.pooled_dataset()
     round_losses: list[float] = []
-    for round_index in range(rounds):
-        deltas = []
-        batch: list[Transaction] = []
-        for inst in cfg.institution_ids:
-            delta = local_update(model, world.datasets[inst], spec, tcfg)
-            log_model_update(world.ledger, inst, round_index, delta, world.clock, batch)
-            deltas.append(delta)
-        world.ledger.append_block(batch)
-        model = apply_delta(model, fed_avg(deltas))
-        round_losses.append(loss(model, pooled))
+    try:
+        # an overflow is the config's doing, e.g. planted weights so large
+        # that the loss or a parameter is not finite
+        with np.errstate(over="raise", invalid="raise"):
+            for round_index in range(rounds):
+                deltas = []
+                batch: list[Transaction] = []
+                for inst in cfg.institution_ids:
+                    delta = local_update(model, world.datasets[inst], spec, tcfg)
+                    log_model_update(world.ledger, inst, round_index, delta, world.clock, batch)
+                    deltas.append(delta)
+                world.ledger.append_block(batch)
+                model = apply_delta(model, fed_avg(deltas))
+                round_losses.append(loss(model, pooled))
+    except (DivergenceError, FloatingPointError) as exc:
+        raise ConfigError(f"training diverged: {exc}") from None
     world.model = model
 
     permitted = 0
@@ -391,10 +399,6 @@ def run_workflow(world: WorldState) -> dict:
         )
         batch.append(decision_tx)
         world.ledger.append_block(batch)
-        world.decision_artifacts[decision_tx.tx_id] = {
-            "explanation": canon.canonicalize(explanation.to_value()),
-            "prediction": canon.canonicalize(prediction_value),
-        }
         decision_txs.append(decision_tx)
         permitted += 1
 
@@ -403,7 +407,7 @@ def run_workflow(world: WorldState) -> dict:
     # would need per-institution state, which the simulation does not keep.
     # The chain these decisions were just appended to is verified once, by
     # score_world.
-    verdicts = {tx.tx_id: _check_decision(world, tx) for tx in decision_txs}
+    verdicts = {tx.tx_id: check_decision(world, tx)[0] for tx in decision_txs}
     mismatches = sorted(txid for txid, v in verdicts.items() if v != "valid")
 
     report = {
@@ -443,7 +447,8 @@ def run_workflow(world: WorldState) -> dict:
 
 
 def verify_decision(world: WorldState, decision_tx_id: str) -> str:
-    """Re-derive one decision from on-chain data and stored artifacts.
+    """Re-derive one decision from on-chain data and the world's records
+    and model.
 
     Returns ``"valid"`` or the first mismatch found, checked in dependency
     order: ``"chain"``, ``"input"``, ``"model"``, ``"prediction"``,
@@ -459,48 +464,47 @@ def verify_decision(world: WorldState, decision_tx_id: str) -> str:
             if tx.tx_id == decision_tx_id and tx.kind == "DecisionRecord":
                 if Ledger.from_blocks(blocks[: k + 1]).verify_chain() is not None:
                     return "chain"
-                return _check_decision(world, tx)
+                return check_decision(world, tx)[0]
     if world.ledger.verify_chain() is not None:
         return "chain"
     raise UnknownDecisionError(decision_tx_id)
 
 
-def _check_decision(world: WorldState, tx: Transaction) -> str:
-    """:func:`verify_decision`'s layers after ``"chain"``, for a
-    ``DecisionRecord`` on a verified chain.  A record whose plaintext is not
-    a row of the config's features is an ``"input"`` mismatch.  Only the
-    decision's own record is opened."""
+def check_decision(
+    world: WorldState, tx: Transaction
+) -> tuple[str, tuple[dict, Explanation] | None]:
+    """The one decision check: :func:`verify_decision`'s layers after
+    ``"chain"``, for a ``DecisionRecord`` on a verified chain.
+
+    Returns the verdict and, when it is ``"valid"``, the prediction value
+    and the explanation it re-derived, whose digests are the chain's; for a
+    mismatch, None.  A record whose plaintext is not a row of the config's
+    features is an ``"input"`` mismatch.  Only the decision's own record is
+    opened.
+    """
     body = tx.body
     rid = body["record_ref"]
     record = world.records.get(rid)
     plain = None if record is None else verify_record(record, world.keys, body["input_commitment"])
     if plain is None:
-        return "input"
+        return "input", None
     spec = world.config.feature_spec
     try:
         x, _ = _record_row(plain, spec)
     except (KeyError, TypeError, ValueError):  # ValueError covers parse errors
-        return "input"
+        return "input", None
 
     if world.model is None or world.model.param_hash() != body["model_hash"]:
-        return "model"
+        return "model", None
 
     prediction_value, explanation = _derive_decision(
         world.model, spec, x, rid, body["input_commitment"]
     )
-    artifacts = world.decision_artifacts.get(tx.tx_id, {})
-    stored_prediction = artifacts.get("prediction")
-    if stored_prediction is None or crypto.digest(stored_prediction) != body["prediction_hash"]:
-        return "prediction"
     if crypto.digest_value(prediction_value) != body["prediction_hash"]:
-        return "prediction"
-
-    stored_explanation = artifacts.get("explanation")
-    if stored_explanation is None or crypto.digest(stored_explanation) != body["explanation_hash"]:
-        return "explanation"
+        return "prediction", None
     if explanation.digest() != body["explanation_hash"]:
-        return "explanation"
-    return "valid"
+        return "explanation", None
+    return "valid", (prediction_value, explanation)
 
 
 def flip_bit(data: bytes, offset: int, what: str) -> bytes:
@@ -517,8 +521,7 @@ def tamper(world: WorldState, target: tuple, offset: int) -> WorldState:
     """Flip one bit in a stored artifact (never in an on-chain hash).
 
     Targets: ``("block", index)`` — the block's stored payload bytes;
-    ``("record", record_id)`` — the sealed ciphertext; ``("explanation",
-    decision_tx_id)`` — the stored explanation artifact.
+    ``("record", record_id)`` — the sealed ciphertext.
     """
     kind, key = target
     if kind == "block":
@@ -534,13 +537,6 @@ def tamper(world: WorldState, target: tuple, offset: int) -> WorldState:
         record.sealed = replace(
             record.sealed,
             ciphertext=flip_bit(record.sealed.ciphertext, offset, f"record {key}"),
-        )
-    elif kind == "explanation":
-        artifacts = world.decision_artifacts.get(key)
-        if artifacts is None:
-            raise TamperTargetError(f"no decision {key!r}")
-        artifacts["explanation"] = flip_bit(
-            artifacts["explanation"], offset, f"explanation {key}"
         )
     else:
         raise TamperTargetError(f"unknown tamper kind {kind!r}")
@@ -573,9 +569,6 @@ def world_value(world: WorldState) -> dict:
     value = {
         "keys": world.keys.to_value(),
         "records": {rid: rec.to_value() for rid, rec in world.records.items()},
-        "decisions": {
-            txid: dict(artifacts) for txid, artifacts in world.decision_artifacts.items()
-        },
     }
     if world.model is not None:
         value["model"] = world.model.to_value()
@@ -647,15 +640,15 @@ def _open_datasets(
 def load_world(world_dir: str | Path) -> WorldState:
     """Rebuild a world from its saved files, opening no sealed record.
 
-    ``world.bx`` holds the keys, the sealed records, the stored decision
-    artifacts and the model; the scripted requests are read from the
-    scenario, and ``report.bx`` into ``report``.  The ledger is loaded up to
-    its first damaged line and not verified here; the damage travels with
-    it, and every reader reads only the verified prefix.  Consent is not
-    replayed (``registry`` is None; see :class:`WorldState`).  Records are
-    opened when a check or the datasets read them, each at most once.  A
-    ``world.bx`` that parses but is not shaped like a saved world raises
-    :class:`~bxhf.canon.NotationParseError`.
+    ``world.bx`` holds the keys, the sealed records and the model; the
+    scripted requests are read from the scenario.  ``report.bx``, the run's
+    unverified log, is not read, so ``report`` is None.  The ledger is
+    loaded up to its first damaged line and not verified here; the damage
+    travels with it, and every reader reads only the verified prefix.
+    Consent is not replayed (``registry`` is None; see :class:`WorldState`).
+    Records are opened when a check or the datasets read them, each at most
+    once.  A ``world.bx`` that parses but is not shaped like a saved world
+    raises :class:`~bxhf.canon.NotationParseError`.
     """
     base = Path(world_dir)
     config = load_config((base / SCENARIO_FILE).read_bytes())
@@ -668,14 +661,10 @@ def load_world(world_dir: str | Path) -> WorldState:
             for rid, rec_value in value["records"].items()
         }
         model = LinearModel.from_value(value["model"]) if "model" in value else None
-        decision_artifacts = {
-            txid: {name: bytes(data) for name, data in artifacts.items()}
-            for txid, artifacts in value["decisions"].items()
-        }
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise canon.NotationParseError(f"{WORLD_FILE} is not a saved world: {exc!r}") from None
 
-    world = WorldState(
+    return WorldState(
         config=config,
         ledger=ledger,
         clock=LogicalClock(ledger.max_logical_time() + 1),
@@ -683,9 +672,4 @@ def load_world(world_dir: str | Path) -> WorldState:
         records=records,
         registry=None,
         model=model,
-        decision_artifacts=decision_artifacts,
     )
-    report_path = base / REPORT_FILE
-    if report_path.exists():
-        world.report = read_canonical(report_path)
-    return world

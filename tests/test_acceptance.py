@@ -17,6 +17,7 @@ from bxhf.explain import explain_linear, shapley_bruteforce
 from bxhf.harness import (
     SealedRecord,
     build_scenario,
+    flip_bit,
     run_workflow,
     save_world,
     tamper,
@@ -94,12 +95,13 @@ def test_criterion_01_tamper_detection():
         detected += verify_record(world.record_table[rid], world.keys, registered[rid]) is None
         tamper(world, ("record", rid), 7)
 
-    # flip one bit inside each stored explanation artifact
-    for txid in decisions:
-        tamper(world, ("explanation", txid), 9)
+    # flip one bit of the model's weights per decision; each fails at the model
+    weights = world.model.weights
+    for k, txid in enumerate(decisions):
+        world.model.weights = np.frombuffer(flip_bit(weights.tobytes(), k, "model weights"))
         cases += 1
-        detected += verify_decision(world, txid) == "explanation"
-        tamper(world, ("explanation", txid), 9)
+        detected += verify_decision(world, txid) == "model"
+        world.model.weights = weights
 
     # restoration check: the world must be pristine again
     assert world.ledger.verify_chain() is None

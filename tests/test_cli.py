@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import warnings
 from pathlib import Path
 
 import pytest
@@ -93,6 +94,11 @@ def test_record_tamper_flags_decision_and_score(tmp_path, capsys):
     assert main(["verify-decision", "--world", str(out), "--decision", decision]) == 1
     assert "mismatch: input" in capsys.readouterr().out
 
+    assert main(["explain", "--world", str(out), "--record", rid]) == 1
+    stdout = capsys.readouterr().out
+    assert f"decision {decision}\n  mismatch: input\n" in stdout
+    assert "on-chain binding" not in stdout
+
     assert main(["score", "--world", str(out)]) == 1
     scored = json.loads(capsys.readouterr().out)
     assert scored["security"]["integrity"] < 1.0
@@ -101,17 +107,59 @@ def test_record_tamper_flags_decision_and_score(tmp_path, capsys):
     assert main(["verify-chain", "--ledger", str(out / LEDGER_FILE)]) == 0
 
 
-def test_explanation_tamper_flags_decision_and_explain(tmp_path, capsys):
+def test_explanation_is_not_a_tamper_target(tmp_path, capsys):
+    """A saved world stores no explanation: ``explain`` re-derives it."""
     out = _init_and_run(tmp_path)
     decision = _report(out)["decision_tx_ids"][0]
-    assert (
-        main(["tamper", "--world", str(out), "--target", f"explanation:{decision}", "--offset", "12"])
-        == 0
-    )
+    saved = (out / WORLD_FILE).read_bytes()
     capsys.readouterr()
+    argv = ["tamper", "--world", str(out), "--target", f"explanation:{decision}", "--offset", "12"]
+    assert main(argv) == 2
+    assert "target must be block:<index> or record:<id>" in capsys.readouterr().err
+    assert (out / WORLD_FILE).read_bytes() == saved
 
+
+def test_model_edit_fails_verify_decision_and_explain_at_the_model(tmp_path, capsys):
+    out = _init_and_run(tmp_path)
+    decision = _report(out)["decision_tx_ids"][0]
+    world = read_canonical(out / WORLD_FILE)
+    world["model"]["weights"][0] += 1e-6
+    write_canonical(out / WORLD_FILE, world)
+    capsys.readouterr()
     assert main(["verify-decision", "--world", str(out), "--decision", decision]) == 1
-    assert "mismatch: explanation" in capsys.readouterr().out
+    assert capsys.readouterr().out == "mismatch: model\n"
+    assert main(["explain", "--world", str(out), "--record", _record_of(out, decision)]) == 1
+    assert "  mismatch: model\n" in capsys.readouterr().out
+
+
+def test_feature_baseline_edit_fails_verify_decision_at_the_explanation(tmp_path, capsys):
+    """The baseline moves every attribution but not the prediction."""
+    out = _init_and_run(tmp_path)
+    decision = _report(out)["decision_tx_ids"][0]
+    scenario = json.loads((out / SCENARIO_FILE).read_text())
+    scenario["features"]["baseline"][0] += 0.5
+    (out / SCENARIO_FILE).write_text(json.dumps(scenario))
+    capsys.readouterr()
+    assert main(["verify-decision", "--world", str(out), "--decision", decision]) == 1
+    assert capsys.readouterr().out == "mismatch: explanation\n"
+    assert main(["explain", "--world", str(out), "--record", _record_of(out, decision)]) == 1
+    assert "  mismatch: explanation\n" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("weight", [1e308, 1e200, 1e160])
+def test_training_that_diverges_is_a_config_error(tmp_path, capsys, weight):
+    scenario = tmp_path / "scenario.bx"
+    assert main(["init", "--out", str(scenario), "--profile", "demo"]) == 0
+    value = json.loads(scenario.read_text())
+    value["train"]["link"] = "identity"
+    value["records"]["planted_weights"][0] = weight
+    scenario.write_text(json.dumps(value))
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy overflow warning fails the test
+        rc = main(["run", "--scenario", str(scenario), "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("config error: training diverged: ")
 
 
 def test_each_command_opens_only_the_records_it_reads(tmp_path, capsys, monkeypatch):
@@ -129,7 +177,7 @@ def test_each_command_opens_only_the_records_it_reads(tmp_path, capsys, monkeypa
     for argv, rc, opens in (
         (["run", "--scenario", str(out / SCENARIO_FILE), "--out", str(tmp_path / "again")], 0, records),
         (["verify-decision", "--world", str(out), "--decision", decision], 0, 1),
-        (["explain", "--world", str(out), "--record", _record_of(out, decision)], 0, 0),
+        (["explain", "--world", str(out), "--record", _record_of(out, decision)], 0, 1),
         (["score", "--world", str(out)], 0, records),
     ):
         opened.clear()

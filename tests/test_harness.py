@@ -17,6 +17,7 @@ from bxhf.harness import (
     TamperTargetError,
     UnknownDecisionError,
     build_scenario,
+    check_decision,
     load_world,
     run_workflow,
     save_world,
@@ -27,7 +28,7 @@ from bxhf.harness import (
 )
 from bxhf.canon import NotationParseError, canonicalize, loads
 from bxhf.explain import explain_linear
-from bxhf.ledger import dump_ledger
+from bxhf.ledger import build_transaction, dump_ledger
 from bxhf.scenario import demo_profile, rare_disease_profile, validate_config
 from bxhf.trust import DEFAULT_WEIGHTS, SecurityReport, trust_objective, verify_record
 
@@ -178,19 +179,32 @@ def test_model_swap_reports_model_mismatch():
     assert verify_decision(world, txid) == "model"
 
 
-def test_prediction_artifact_flip_reports_prediction_mismatch():
-    world, report = _ran()
-    txid = report["decision_tx_ids"][0]
-    stored = world.decision_artifacts[txid]["prediction"]
-    world.decision_artifacts[txid]["prediction"] = stored[:-2] + bytes([stored[-2] ^ 1]) + stored[-1:]
-    assert verify_decision(world, txid) == "prediction"
+def _with_body(tx, **fields):
+    return build_transaction(tx.kind, tx.actor, tx.logical_time, {**tx.body, **fields})
 
 
-def test_explanation_tamper_reports_explanation_mismatch():
+def test_check_decision_returns_what_it_re_derived():
     world, report = _ran()
-    txid = report["decision_tx_ids"][0]
-    tamper(world, ("explanation", txid), 10)
-    assert verify_decision(world, txid) == "explanation"
+    tx = world.ledger.find_tx(report["decision_tx_ids"][0])
+    verdict, (prediction, explanation) = check_decision(world, tx)
+    assert verdict == "valid"
+    assert crypto.digest_value(prediction) == tx.body["prediction_hash"]
+    assert explanation.digest() == tx.body["explanation_hash"]
+    assert explanation.record_ref == tx.body["record_ref"]
+
+
+def test_altered_prediction_hash_reports_prediction_mismatch():
+    world, report = _ran()
+    tx = world.ledger.find_tx(report["decision_tx_ids"][0])
+    forged = _with_body(tx, prediction_hash=crypto.digest(b"another prediction"))
+    assert check_decision(world, forged) == ("prediction", None)
+
+
+def test_altered_explanation_hash_reports_explanation_mismatch():
+    world, report = _ran()
+    tx = world.ledger.find_tx(report["decision_tx_ids"][0])
+    forged = _with_body(tx, explanation_hash=crypto.digest(b"another explanation"))
+    assert check_decision(world, forged) == ("explanation", None)
 
 
 def test_block_tamper_breaks_the_chain():
@@ -261,7 +275,7 @@ def test_save_and_load_round_trip(tmp_path, profile):
     loaded = load_world(tmp_path)
     assert dump_ledger(loaded.ledger) == dump_ledger(world.ledger)
     assert canonicalize(world_value(loaded)) == canonicalize(world_value(world))
-    assert loaded.report == report
+    assert loaded.report is None  # report.bx is the run's unverified log
     assert loaded.unreadable_records == []
     # the same rows, bit for bit, in the same institution and row order
     assert list(loaded.datasets) == list(world.datasets)

@@ -363,8 +363,10 @@ WORLD_FLIPS = 96
 def test_world_flips_give_exit_codes_not_tracebacks(world_dir, tmp_path, capsys):
     """Each command that reads ``world.bx`` returns 0, 1 or 2 on a flipped copy.
 
-    Exit 0 is still possible for some flips: ``score`` does not read the
-    stored decision artifacts.  This test asks only for an exit code.
+    Exit 0 is still possible for some flips: no command checks a record's
+    ``institution_id``, and ``score`` does not check the model's hash, so a
+    flip in either that still parses can leave ``score`` at 0.  This test
+    asks only for an exit code.
     """
     world = tmp_path / "world"
     shutil.copytree(world_dir, world)
