@@ -143,7 +143,7 @@ def _cmd_tamper(args) -> int:
     path = base / harness.WORLD_FILE
     value = harness.read_canonical(path)
     try:
-        holder = value["records"][key]["sealed"]
+        holder = value["records"][key]
         holder["ciphertext"] = harness.flip_bit(holder["ciphertext"], args.offset, f"record {key}")
     except KeyError:
         print(f"no record {key!r} in {path}", file=sys.stderr)

@@ -68,13 +68,6 @@ class Commitment:
     digest: str
     salt: bytes
 
-    def to_value(self) -> dict:
-        return {"digest": self.digest, "salt": self.salt}
-
-    @classmethod
-    def from_value(cls, value: dict) -> "Commitment":
-        return cls(digest=value["digest"], salt=value["salt"])
-
     def matches(self, encoded: bytes) -> bool:
         """True iff these exact bytes, salted, reproduce the digest."""
         return digest(encoded + self.salt) == self.digest
@@ -99,15 +92,6 @@ class SealedPayload:
     ciphertext: bytes
     auth_tag: bytes
     key_id: str
-
-    def to_value(self) -> dict:
-        return {"auth_tag": self.auth_tag, "ciphertext": self.ciphertext, "key_id": self.key_id}
-
-    @classmethod
-    def from_value(cls, value: dict) -> "SealedPayload":
-        return cls(
-            ciphertext=value["ciphertext"], auth_tag=value["auth_tag"], key_id=value["key_id"]
-        )
 
 
 class KeyTable:

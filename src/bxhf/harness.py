@@ -88,10 +88,12 @@ class TamperTargetError(KeyError):
 
 @dataclass
 class SealedRecord:
-    """A registered record at rest: sealed bytes plus its public commitment."""
+    """A registered record at rest: sealed bytes plus its public commitment.
+    Only the sealed bytes and the salt are saved; the owner, its key and the
+    commitment digest are the record's registration's (see :func:`load_world`)."""
 
     record_id: str
-    institution_id: str
+    institution_id: str | None
     sealed: crypto.SealedPayload
     commitment: crypto.Commitment
     # (sealed payload, key, plaintext or None) of the last open
@@ -120,31 +122,28 @@ class SealedRecord:
 
     def to_value(self) -> dict:
         return {
-            "commitment": self.commitment.to_value(),
-            "institution_id": self.institution_id,
-            "sealed": self.sealed.to_value(),
+            "auth_tag": self.sealed.auth_tag,
+            "ciphertext": self.sealed.ciphertext,
+            "salt": self.commitment.salt,
         }
 
     @classmethod
-    def from_value(cls, record_id: str, value: dict) -> "SealedRecord":
-        """Raises ``TypeError`` for a value not shaped like a sealed record."""
-        record = cls(
-            record_id=record_id,
-            institution_id=value["institution_id"],
-            sealed=crypto.SealedPayload.from_value(value["sealed"]),
-            commitment=crypto.Commitment.from_value(value["commitment"]),
-        )
-        sealed, commitment = record.sealed, record.commitment
+    def from_value(cls, record_id: str, value: dict, registration: dict | None) -> "SealedRecord":
+        """The saved ``value`` owned as its ``DataRegistration`` body
+        ``registration`` says, or by no one for None.  Raises ``TypeError``
+        for a value not shaped like a saved record."""
         if not (
-            isinstance(record.institution_id, str)
-            and isinstance(sealed.key_id, str)
-            and isinstance(sealed.ciphertext, bytes)
-            and isinstance(sealed.auth_tag, bytes)
-            and isinstance(commitment.digest, str)
-            and isinstance(commitment.salt, bytes)
+            isinstance(value, dict)
+            and value.keys() == {"auth_tag", "ciphertext", "salt"}
+            and all(isinstance(v, bytes) for v in value.values())
         ):
             raise TypeError(f"record {record_id!r} is not shaped like a sealed record")
-        return record
+        owner = digest = key_id = None
+        if registration is not None:
+            owner, digest = registration["institution_id"], registration["commitment"]
+            key_id = _key_id(owner)
+        sealed = crypto.SealedPayload(value["ciphertext"], value["auth_tag"], key_id)
+        return cls(record_id, owner, sealed, crypto.Commitment(digest, value["salt"]))
 
 
 @dataclass
@@ -186,8 +185,9 @@ class WorldState:
 
     @property
     def unreadable_records(self) -> list[str]:
-        """Records left out of ``datasets`` because their seals do not
-        authenticate, in sorted id order."""
+        """Records left out of ``datasets`` because no key opens them, in
+        sorted id order: their seals do not authenticate, or on a loaded
+        world no verified registration names them."""
         self.datasets  # noqa: B018 - builds them on a loaded world
         return self._unreadable
 
@@ -605,7 +605,7 @@ def _open_datasets(
     config: ScenarioConfig, records: dict[str, SealedRecord], keys: crypto.KeyTable
 ) -> tuple[dict[str, Dataset], list[str]]:
     """Each institution's dataset from the sealed records, and the ids of
-    those whose seals do not authenticate.
+    those no key opens.
 
     Rows are in sorted record-id order, institutions in the config's order.
     Every record that authenticates is a row, whether or not it matches its
@@ -640,11 +640,13 @@ def _open_datasets(
 def load_world(world_dir: str | Path) -> WorldState:
     """Rebuild a world from its saved files, opening no sealed record.
 
-    ``world.bx`` holds the keys, the sealed records and the model; the
-    scripted requests are read from the scenario.  ``report.bx``, the run's
-    unverified log, is not read, so ``report`` is None.  The ledger is
-    loaded up to its first damaged line and not verified here; the damage
-    travels with it, and every reader reads only the verified prefix.
+    ``world.bx`` holds the keys, the model and each record's sealed bytes
+    and salt; the scripted requests are read from the scenario.
+    ``report.bx``, the run's unverified log, is not read, so ``report`` is
+    None.  The ledger is loaded up to its first damaged line, and the damage
+    travels with it.  One verification gives each record its owner, key id
+    and commitment digest from its ``DataRegistration`` on the verified
+    prefix; a record none there names has no owner, and no key opens it.
     Consent is not replayed (``registry`` is None; see :class:`WorldState`).
     Records are opened when a check or the datasets read them, each at most
     once.  A ``world.bx`` that parses but is not shaped like a saved world
@@ -654,10 +656,12 @@ def load_world(world_dir: str | Path) -> WorldState:
     config = load_config((base / SCENARIO_FILE).read_bytes())
     ledger = load_ledger((base / LEDGER_FILE).read_bytes())
     value = read_canonical(base / WORLD_FILE)
+    _, txs = ledger.verified()
+    registered = {tx.body["record_id"]: tx.body for tx in txs if tx.kind == "DataRegistration"}
     try:
         keys = crypto.KeyTable.from_value(value["keys"])
         records = {
-            rid: SealedRecord.from_value(rid, rec_value)
+            rid: SealedRecord.from_value(rid, rec_value, registered.get(rid))
             for rid, rec_value in value["records"].items()
         }
         model = LinearModel.from_value(value["model"]) if "model" in value else None

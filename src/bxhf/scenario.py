@@ -340,7 +340,9 @@ def generate_records(config: ScenarioConfig, rng: np.random.Generator) -> list[G
             x = mu + rng.standard_normal(len(spec.names))
             margin = _planted_margin(x, weights, bias, mu)
             if link == "logistic":
-                prob = 1.0 / (1.0 + np.exp(-margin))
+                # a margin far below zero overflows exp; the probability is 0 either way
+                with np.errstate(over="ignore"):
+                    prob = 1.0 / (1.0 + np.exp(-margin))
                 outcome = 1.0 if rng.random() < prob else 0.0
             else:
                 outcome = margin + noise * rng.standard_normal()

@@ -19,6 +19,7 @@ from bxhf.harness import (
     write_canonical,
 )
 from bxhf.ledger import Ledger
+from forgery import reseal_record
 
 
 def _init_and_run(tmp_path: Path, profile: str = "demo", seed: int | None = None) -> Path:
@@ -162,6 +163,20 @@ def test_training_that_diverges_is_a_config_error(tmp_path, capsys, weight):
     assert capsys.readouterr().err.startswith("config error: training diverged: ")
 
 
+@pytest.mark.parametrize("weight", [1e3, 1e160, 1e308])
+def test_huge_planted_weight_draws_outcomes_without_a_warning(tmp_path, capsys, weight):
+    """A logistic outcome whose margin overflows ``exp`` has probability 0."""
+    scenario = tmp_path / "scenario.bx"
+    assert main(["init", "--out", str(scenario), "--profile", "demo"]) == 0
+    value = json.loads(scenario.read_text())
+    assert value["train"]["link"] == "logistic"
+    value["records"]["planted_weights"][0] = weight
+    scenario.write_text(json.dumps(value))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy overflow warning fails the test
+        assert main(["run", "--scenario", str(scenario), "--out", str(tmp_path / "out")]) == 0
+
+
 def test_each_command_opens_only_the_records_it_reads(tmp_path, capsys, monkeypatch):
     out = _init_and_run(tmp_path)
     decision = _report(out)["decision_tx_ids"][0]
@@ -194,16 +209,11 @@ def test_record_missing_a_feature_fails_score_not_other_decisions(tmp_path, caps
     decisions = _report(out)["decision_tx_ids"]
     damaged = _record_of(out, decisions[0])
     other = next(d for d in decisions if _record_of(out, d) != damaged)
-    value = read_canonical(out / WORLD_FILE)
-    keys = crypto.KeyTable.from_value(value["keys"])
-    record = value["records"][damaged]["sealed"]
-    sealed = crypto.SealedPayload.from_value(record)
-    plaintext = canon.loads(crypto.unseal(sealed, keys))
-    del plaintext["features"][sorted(plaintext["features"])[0]]
-    encoded = canon.canonicalize(plaintext)
-    resealed = crypto.seal(encoded, sealed.key_id, keys, b"\x01" * crypto.NONCE_LEN)
-    value["records"][damaged]["sealed"] = resealed.to_value()
-    write_canonical(out / WORLD_FILE, value)
+
+    def drop_a_feature(value):
+        del value["features"][sorted(value["features"])[0]]
+
+    _, commitment = reseal_record(out, damaged, drop_a_feature, b"\x02" * crypto.SALT_LEN)
     capsys.readouterr()
 
     assert main(["score", "--world", str(out)]) == 1
@@ -213,11 +223,8 @@ def test_record_missing_a_feature_fails_score_not_other_decisions(tmp_path, caps
     assert main(["verify-decision", "--world", str(out), "--decision", decisions[0]]) == 1
     assert capsys.readouterr().out == "mismatch: input\n"
 
-    # committed to as well, in world.bx and in the decision (no hash fixed):
-    # the decision's own block no longer verifies
-    commitment = crypto.commit(encoded, b"\x02" * crypto.SALT_LEN)
-    value["records"][damaged]["commitment"] = commitment.to_value()
-    write_canonical(out / WORLD_FILE, value)
+    # committed to in the decision as well (no hash fixed): the decision's
+    # own block no longer verifies
     lines = (out / LEDGER_FILE).read_bytes().split(b"\n")
     index = next(i for i, line in enumerate(lines) if decisions[0].encode() in line)
     old_digest = canon.loads(lines[index])["transactions"][-1]["body"]["input_commitment"]
@@ -228,24 +235,23 @@ def test_record_missing_a_feature_fails_score_not_other_decisions(tmp_path, caps
 
 
 @pytest.mark.parametrize(
-    "path, value",
+    "edit",
     [
-        (("sealed", "ciphertext"), "text"),
-        (("sealed", "key_id"), 7),
-        (("commitment", "salt"), "text"),
-        (("institution_id",), 5),
+        lambda record: record.update(ciphertext="text"),
+        lambda record: record.update(salt="text"),
+        lambda record: record.update(key_id="k-lakeside"),
+        lambda record: record.pop("auth_tag"),
     ],
-    ids=["ciphertext", "key-id", "salt", "institution"],
+    ids=["ciphertext", "salt", "extra-field", "missing-field"],
 )
-def test_record_not_shaped_like_a_sealed_record_is_a_parse_error(tmp_path, capsys, path, value):
+def test_record_not_shaped_like_a_sealed_record_is_a_parse_error(tmp_path, capsys, edit):
+    """A saved record is exactly its ``auth_tag``, ``ciphertext`` and
+    ``salt``, each a byte string."""
     out = _init_and_run(tmp_path)
     decision = _report(out)["decision_tx_ids"][0]
     rid = _record_of(out, decision)
     world = read_canonical(out / WORLD_FILE)
-    holder = world["records"][rid]
-    for key in path[:-1]:
-        holder = holder[key]
-    holder[path[-1]] = value
+    edit(world["records"][rid])
     write_canonical(out / WORLD_FILE, world)
     capsys.readouterr()
     for argv in (

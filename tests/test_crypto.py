@@ -7,7 +7,6 @@ import pytest
 
 from bxhf.crypto import (
     AuthenticationError,
-    Commitment,
     KeyTable,
     NONCE_LEN,
     SALT_LEN,
@@ -144,9 +143,3 @@ def test_key_table_round_trip():
     with pytest.raises(ValueError):
         again.register("short", b"\x00" * 5)
 
-
-def test_commitment_value_round_trip():
-    c = commit(b'{"x":2}', b"\xaa" * SALT_LEN)
-    assert Commitment.from_value(c.to_value()) == c
-    p = seal(b'{"x":2}', "k-a", _table(), b"\x03" * NONCE_LEN)
-    assert SealedPayload.from_value(p.to_value()) == p

@@ -17,12 +17,12 @@ from bxhf.harness import LEDGER_FILE, REPORT_FILE, WORLD_FILE
 GOLDEN = {
     "demo": {
         LEDGER_FILE: "069bc46094cb5283d69dc464230bc334e852f9aa039896364a7ea18bd786877c",
-        WORLD_FILE: "36e6cd5cb6b75f8cc5d63071e262a2b0bfc9228f9e96ac997caba40e1186cfcd",
+        WORLD_FILE: "eed70fb1bd9426873ddfa2f1de4df17d8f793444eac9fbbace60fc101b019b4b",
         REPORT_FILE: "94c5c86fee525ed9d10461b508e8ad2f038c229e63fa407c3ad9f9a928118e2b",
     },
     "rare-disease": {
         LEDGER_FILE: "c11e73685d65978157d101cac3e471c742822c5b50d8d8c765360f30ad2fa70d",
-        WORLD_FILE: "f95d909c3915c44ac6bb57c6f0559806114184840c48f04e7fb7b4e2c3025340",
+        WORLD_FILE: "9c92415e3028327f4d84b9c076ca5e887f402f2ed804d9f5dae0ab0aef5c174e",
         REPORT_FILE: "7c31ca89c593b35188bd88244f0280fb1d1ad90bdf8ad0a011c5344704964f7f",
     },
 }

@@ -272,7 +272,11 @@ def test_save_and_load_round_trip(tmp_path, profile):
     assert (tmp_path / LEDGER_FILE).exists()
     assert (tmp_path / REPORT_FILE).exists()
 
+    # a saved record is its sealed bytes and salt; the rest is derived on load
+    saved = world_value(world)["records"]
+    assert all(value.keys() == {"auth_tag", "ciphertext", "salt"} for value in saved.values())
     loaded = load_world(tmp_path)
+    assert loaded.records == world.records  # owner, key id and digest included
     assert dump_ledger(loaded.ledger) == dump_ledger(world.ledger)
     assert canonicalize(world_value(loaded)) == canonicalize(world_value(world))
     assert loaded.report is None  # report.bx is the run's unverified log

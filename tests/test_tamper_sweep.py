@@ -363,10 +363,9 @@ WORLD_FLIPS = 96
 def test_world_flips_give_exit_codes_not_tracebacks(world_dir, tmp_path, capsys):
     """Each command that reads ``world.bx`` returns 0, 1 or 2 on a flipped copy.
 
-    Exit 0 is still possible for some flips: no command checks a record's
-    ``institution_id``, and ``score`` does not check the model's hash, so a
-    flip in either that still parses can leave ``score`` at 0.  This test
-    asks only for an exit code.
+    Exit 0 is still possible for a flip in the model: ``score`` does not
+    check the model's hash, so a flip there that still parses can leave
+    ``score`` at 0.  This test asks only for an exit code.
     """
     world = tmp_path / "world"
     shutil.copytree(world_dir, world)
@@ -391,10 +390,11 @@ def test_world_flips_give_exit_codes_not_tracebacks(world_dir, tmp_path, capsys)
 
 
 def test_world_flips_in_keys_and_records_byte_strings_fail_score(world_dir, tmp_path, capsys):
-    """A flip inside a ``b"..."`` value of ``keys`` or ``records`` in
-    ``world.bx`` makes ``score`` exit 1: another byte fails its seal or
-    commitment, and anything else, an upper-case hex digit included, is not
-    canonical and does not parse."""
+    """A flip inside a ``b"..."`` value of ``keys``, or anywhere in
+    ``records`` in ``world.bx``, makes ``score`` exit 1: another byte fails
+    its seal or commitment, another record id names a record no
+    registration owns, and anything else, an upper-case hex digit, a key or
+    punctuation included, is not canonical or not a saved world."""
     world = tmp_path / "world"
     shutil.copytree(world_dir, world)
     data = (world_dir / WORLD_FILE).read_bytes()
@@ -409,6 +409,8 @@ def test_world_flips_in_keys_and_records_byte_strings_fail_score(world_dir, tmp_
     flips = [(offset, rng.randrange(8)) for offset in rng.sample(digits, 24)]
     letters = [offset for offset in digits if data[offset] >= ord("a")]
     flips += [(offset, 5) for offset in rng.sample(letters, 16)]  # upper case: 0x61 ^ 0x20 == 0x41
+    records = range(data.index(b'"records":'), len(data) - 1)
+    flips += [(offset, rng.randrange(8)) for offset in rng.sample(records, 48)]
     passed = []
     for offset, bit in flips:
         tampered = bytearray(data)
